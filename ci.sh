@@ -95,6 +95,12 @@ run cargo run --release $OFFLINE -p cogent-bench --bin traffic_replay -- \
 # Emission gate: every TCCG entry x every backend dialect (CUDA, OpenCL,
 # HIP) must emit and pass both the text lint and the structural IR lint.
 run cargo run --release $OFFLINE -p cogent-emit-gate --bin emit_gate
+# Interpreter-heavy benchmark smoke: the verify_passes48 workload (default
+# KIR passes plus the numeric divergence gate, 48 TCCG entries) in quick
+# mode. It exits 1 when any output check fails — the printed post-pass
+# program must interpret to the reference contraction.
+run cargo run --release $OFFLINE --manifest-path cogent-benchmark/Cargo.toml -- \
+    run --workload verify_passes48 --quick
 run ./tools/unwrap_gate.sh
 run cargo clippy --workspace --all-targets $OFFLINE -- -D warnings
 run cargo fmt --all -- --check

@@ -8,6 +8,7 @@ use cogent_gpu_sim::plan::StoreMode;
 use cogent_gpu_sim::{simulate, KernelPlan, SimReport};
 use cogent_ir::transform::merge_all;
 use cogent_ir::{Contraction, IndexName, SizeMap};
+use cogent_kir::KernelProgram;
 
 use crate::cache::{CacheKey, KernelCache};
 use crate::codegen::{emit_driver, lower_with_passes, print_backend, Backend, PassConfig};
@@ -371,18 +372,22 @@ impl Cogent {
         viable.sort_by(|x, y| x.2.time.total_s.total_cmp(&y.2.time.total_s));
 
         // Stage 2: numeric divergence gate (optional) — first passing
-        // candidate wins.
+        // candidate wins. The gate interprets the candidate's post-pass
+        // program, which codegen then prints as is.
         let mut winner: Option<(usize, KernelPlan, SimReport)> = None;
+        let mut gated: Option<(KernelProgram, Vec<String>)> = None;
         let mut numeric_verified = false;
         for (model_rank, plan, report) in viable {
             if !self.verify_numeric {
                 winner = Some((model_rank, plan, report));
                 break;
             }
-            match divergence_check(&plan, 23, self.divergence_tolerance) {
+            let lowered = lower_with_passes(&plan, self.precision, &self.passes)?;
+            match divergence_check(&plan, &lowered.0, 23, self.divergence_tolerance) {
                 Ok(()) => {
                     numeric_verified = true;
                     winner = Some((model_rank, plan, report));
+                    gated = Some(lowered);
                     break;
                 }
                 Err(PlanViolation::NumericDivergence { max_abs_diff }) => {
@@ -436,11 +441,14 @@ impl Cogent {
         }
         let (cuda_source, opencl_source, applied_passes) = {
             let _span = cogent_obs::span("codegen");
-            // Lower once, run the configured pass pipeline once, and print
-            // every dialect from the same transformed tree. With
-            // `PassConfig::None` this is byte-identical to the baseline
-            // emitters.
-            let (prog, applied) = lower_with_passes(&plan, self.precision, &self.passes)?;
+            // Lower once, run the configured pass pipeline once (unless
+            // the gate already did), and print every dialect from the same
+            // transformed tree. With `PassConfig::None` this is
+            // byte-identical to the baseline emitters.
+            let (prog, applied) = match gated {
+                Some(lowered) => lowered,
+                None => lower_with_passes(&plan, self.precision, &self.passes)?,
+            };
             let cuda = format!(
                 "{}\n{}",
                 print_backend(&prog, self.precision, Backend::Cuda),

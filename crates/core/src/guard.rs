@@ -30,6 +30,7 @@ use cogent_gpu_model::{GpuDevice, Precision};
 use cogent_gpu_sim::plan::{IndexBinding, KernelPlan, MapDim, PlanError, StoreMode};
 use cogent_gpu_sim::{try_execute_plan, ExecError};
 use cogent_ir::{Contraction, ContractionAnalysis, IndexClass, IndexName, SizeMap};
+use cogent_kir::KernelProgram;
 use cogent_tensor::reference::{contract_reference, random_inputs};
 
 use crate::config::KernelConfig;
@@ -415,17 +416,23 @@ pub fn record_violations(violations: &[PlanViolation]) {
 /// against the reference contraction, in two layers:
 ///
 /// 1. the fast plan-level executor at the plan's own extents, and
-/// 2. the kernel-IR interpreter at tile-clamped extents (each extent cut
-///    to `tile + 1`), which runs the *lowered program the emitters print*
-///    over deliberately ragged tiles — cheap, but it exercises every
-///    partial-tile guard in the emitted artifact.
+/// 2. the kernel-IR interpreter running `prog` — the program lowered from
+///    `plan` with the configured passes, i.e. the kernel that is printed —
+///    at tile-clamped extents (each extent cut to `tile + 1`), which is
+///    cheap but exercises every partial-tile guard, vector fallback and
+///    prefetch in the emitted artifact.
 ///
 /// # Errors
 ///
 /// [`PlanViolation::ExecutionFailed`] when the executor or the
 /// interpreter rejects the operands, [`PlanViolation::NumericDivergence`]
 /// when the largest absolute element difference exceeds `tolerance`.
-pub fn divergence_check(plan: &KernelPlan, seed: u64, tolerance: f64) -> Result<(), PlanViolation> {
+pub fn divergence_check(
+    plan: &KernelPlan,
+    prog: &KernelProgram,
+    seed: u64,
+    tolerance: f64,
+) -> Result<(), PlanViolation> {
     let sizes = SizeMap::from_pairs(plan.bindings().iter().map(|b| (b.name.as_str(), b.extent)));
     let (a, b) = random_inputs::<f64>(plan.contraction(), &sizes, seed);
     let got = try_execute_plan(plan, &a, &b).map_err(|e| PlanViolation::ExecutionFailed {
@@ -437,29 +444,18 @@ pub fn divergence_check(plan: &KernelPlan, seed: u64, tolerance: f64) -> Result<
         return Err(PlanViolation::NumericDivergence { max_abs_diff });
     }
 
-    let clamped: Vec<IndexBinding> = plan
-        .bindings()
-        .iter()
-        .map(|b| IndexBinding::new(b.name.clone(), b.extent.min(b.tile + 1), b.tile, b.dim))
-        .collect();
-    let clamped = KernelPlan::new(plan.contraction(), clamped)
-        .map(|p| p.with_store_mode(plan.store_mode()))
-        .map_err(|e| PlanViolation::ExecutionFailed {
-            detail: format!("tile-clamped plan construction: {e}"),
-        })?;
     let sizes = SizeMap::from_pairs(
-        clamped
-            .bindings()
+        plan.bindings()
             .iter()
-            .map(|b| (b.name.as_str(), b.extent)),
+            .map(|b| (b.name.as_str(), b.extent.min(b.tile + 1))),
     );
-    let (a, b) = random_inputs::<f64>(clamped.contraction(), &sizes, seed.wrapping_add(1));
-    let got = cogent_kir::interpret_plan(&clamped, &a, &b).map_err(|e| {
+    let (a, b) = random_inputs::<f64>(plan.contraction(), &sizes, seed.wrapping_add(1));
+    let got = cogent_kir::interpret(prog, &sizes, &a, &b).map_err(|e| {
         PlanViolation::ExecutionFailed {
             detail: format!("kernel IR interpreter: {e}"),
         }
     })?;
-    let want = contract_reference(clamped.contraction(), &sizes, &a, &b);
+    let want = contract_reference(plan.contraction(), &sizes, &a, &b);
     let max_abs_diff = got.max_abs_diff(&want);
     if max_abs_diff > tolerance {
         Err(PlanViolation::NumericDivergence { max_abs_diff })
@@ -860,14 +856,45 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!(divergence_check(&plan, 11, 1e-10).is_ok());
+        let prog = cogent_kir::lower_to_kir(&plan).unwrap();
+        assert!(divergence_check(&plan, &prog, 11, 1e-10).is_ok());
+    }
+
+    /// The gate interprets the program it is handed, not a fresh lowering
+    /// of the plan: a corrupted program over a correct plan is rejected.
+    #[test]
+    fn divergence_check_rejects_a_corrupted_program() {
+        use cogent_gpu_sim::ExecFaults;
+        let tc: Contraction = "ij-ik-kj".parse().unwrap();
+        let plan = KernelPlan::new(
+            &tc,
+            vec![
+                IndexBinding::new("i", 9, 4, MapDim::ThreadX),
+                IndexBinding::new("j", 7, 4, MapDim::ThreadY),
+                IndexBinding::new("k", 5, 2, MapDim::SerialK),
+            ],
+        )
+        .unwrap();
+        let prog = cogent_kir::lower_to_kir(&plan).unwrap();
+        let faulted = cogent_kir::apply_exec_faults(
+            &prog,
+            &ExecFaults {
+                corrupt_accumulation: true,
+                ..ExecFaults::NONE
+            },
+        );
+        assert!(matches!(
+            divergence_check(&plan, &faulted, 11, 1e-10),
+            Err(PlanViolation::NumericDivergence { .. })
+        ));
     }
 
     #[test]
     fn divergence_check_rejects_everything_at_negative_tolerance() {
         let plan = fig2_plan();
+        let prog = cogent_kir::lower_to_kir(&plan).unwrap();
         assert!(matches!(
-            divergence_check(&plan, 11, -1.0),
+            divergence_check(&plan, &prog, 11, -1.0),
             Err(PlanViolation::NumericDivergence { .. })
         ));
     }
@@ -881,7 +908,8 @@ mod tests {
             let sizes = SizeMap::uniform(&tc, 6);
             let plan = naive_plan(&tc, &sizes).unwrap();
             assert!(validate_plan(&plan, &GpuDevice::v100(), Precision::F64).is_ok());
-            assert!(divergence_check(&plan, 1, 1e-9).is_ok());
+            let prog = cogent_kir::lower_to_kir(&plan).unwrap();
+            assert!(divergence_check(&plan, &prog, 1, 1e-9).is_ok());
         }
     }
 

@@ -1075,6 +1075,17 @@ fn cmd_suite(args: &[String]) -> Result<(), CliError> {
 mod tests {
     use super::*;
 
+    /// `explain_report`, `profile_report` and `cmd_stats` save, set and
+    /// restore the process-global tracing flag, so a test reaching them
+    /// holds this lock: otherwise a sibling's restore can switch tracing
+    /// off halfway through its run.
+    static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn tracing_lock() -> std::sync::MutexGuard<'static, ()> {
+        // A test that failed while holding the lock leaves nothing to repair.
+        TRACING.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
     }
@@ -1341,6 +1352,7 @@ mod tests {
 
     #[test]
     fn explain_mentions_the_cache() {
+        let _tracing = tracing_lock();
         let out = explain_report(&s(&["ij-ik-kj", "--size", "8"])).unwrap();
         assert!(out.contains("cache:"), "no cache line in:\n{out}");
         assert!(out.contains("COGENT_CACHE_CAP"));
@@ -1395,6 +1407,7 @@ mod tests {
 
     #[test]
     fn explain_writes_chrome_trace_file() {
+        let _tracing = tracing_lock();
         let path = std::env::temp_dir().join("cogent_chrome_test.json");
         let path_s = path.to_str().unwrap().to_string();
         let _ = std::fs::remove_file(&path);
@@ -1411,6 +1424,7 @@ mod tests {
 
     #[test]
     fn profile_reports_phase_self_times() {
+        let _tracing = tracing_lock();
         let out = profile_report(&s(&["ij-ik-kj", "--size", "8", "--runs", "2"])).unwrap();
         assert!(out.contains("phase"), "no table header in:\n{out}");
         assert!(out.contains("coverage:"), "no coverage line in:\n{out}");
@@ -1422,6 +1436,7 @@ mod tests {
 
     #[test]
     fn profile_json_follows_the_schema() {
+        let _tracing = tracing_lock();
         let out = profile_report(&s(&["ij-ik-kj", "--size", "8", "--json"])).unwrap();
         let doc = cogent::obs::json::Json::parse(&out).unwrap();
         assert_eq!(
@@ -1435,6 +1450,7 @@ mod tests {
 
     #[test]
     fn profile_writes_folded_stacks() {
+        let _tracing = tracing_lock();
         let path = std::env::temp_dir().join("cogent_folded_test.txt");
         let path_s = path.to_str().unwrap().to_string();
         let _ = std::fs::remove_file(&path);
@@ -1456,6 +1472,7 @@ mod tests {
 
     #[test]
     fn profile_rejects_bad_runs() {
+        let _tracing = tracing_lock();
         let e = profile_report(&s(&["ij-ik-kj", "--runs", "0"])).unwrap_err();
         assert_eq!(e.exit, 2);
         let e = profile_report(&s(&["ij-ik-kj", "--runs", "many"])).unwrap_err();
@@ -1464,6 +1481,7 @@ mod tests {
 
     #[test]
     fn stats_without_jobs_is_a_usage_error() {
+        let _tracing = tracing_lock();
         let e = cmd_stats(&s(&["--size", "8"])).unwrap_err();
         assert_eq!(e.exit, 2);
         assert!(e.message.contains("nothing to measure"));
@@ -1478,6 +1496,7 @@ mod tests {
     /// `explain` tree (golden structure, not golden bytes: timings vary).
     #[test]
     fn explain_text_has_one_span_per_phase() {
+        let _tracing = tracing_lock();
         let out = explain_report(&s(&["abcd-aebf-dfce", "--size", "16"])).unwrap();
         for phase in ["enumerate", "prune", "rank", "lower", "codegen", "simulate"] {
             let hits = out
@@ -1499,6 +1518,7 @@ mod tests {
 
     #[test]
     fn explain_json_round_trips_with_required_spans() {
+        let _tracing = tracing_lock();
         let out = explain_report(&s(&["abcd-aebf-dfce", "--size", "16", "--json"])).unwrap();
         let trace = cogent::obs::PipelineTrace::from_json_str(&out).unwrap();
         for phase in ["enumerate", "prune", "rank", "lower", "codegen", "simulate"] {

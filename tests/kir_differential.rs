@@ -1,7 +1,8 @@
 //! Differential pinning of the kernel-IR interpreter: for every entry of
 //! the 48-benchmark TCCG suite, the lowered [`cogent::kir::KernelProgram`]
 //! interpreted over random inputs must agree with both the plan-level
-//! executor and the sequential reference contraction.
+//! executor and the sequential reference contraction, and reproduce its
+//! golden output bits exactly.
 //!
 //! The interpreter consumes the *same tree the backends print*, so this
 //! test certifies the semantics of the emitted kernel text itself — the
@@ -10,9 +11,11 @@
 //! interpreter affordable while staying ragged (not divisible by typical
 //! tiles), which keeps every partial-tile guard in play.
 
-use cogent::kir::interpret_plan;
+mod common;
+
+use cogent::kir::{apply_exec_faults, interpret, interpret_plan, lower_to_kir};
 use cogent::prelude::*;
-use cogent::sim::try_execute_plan;
+use cogent::sim::{try_execute_plan, ExecFaults, FaultKind, IndexBinding, MapDim};
 use cogent::tensor::reference::{contract_reference, random_inputs};
 
 #[test]
@@ -51,5 +54,36 @@ fn interpreter_matches_executor_and_reference_on_all_48_entries() {
             entry.name,
             interp.max_abs_diff(&exec)
         );
+        common::assert_golden_bits(&entry.name, "plan", &interp);
+    }
+}
+
+/// Each dynamic fault, as a rewrite of the ragged Eq. 1 program, still
+/// computes exactly the wrong answer it computed when the golden bits
+/// were captured — so a faster interpreter cannot quietly change what
+/// the fault matrix detects.
+#[test]
+fn faulted_programs_reproduce_their_golden_bits() {
+    let tc: Contraction = "abcd-aebf-dfce".parse().unwrap();
+    let plan = KernelPlan::new(
+        &tc,
+        vec![
+            IndexBinding::new("a", 7, 2, MapDim::ThreadX),
+            IndexBinding::new("b", 6, 2, MapDim::RegX),
+            IndexBinding::new("c", 7, 2, MapDim::ThreadY),
+            IndexBinding::new("d", 5, 2, MapDim::RegY),
+            IndexBinding::new("e", 6, 4, MapDim::SerialK),
+            IndexBinding::new("f", 5, 2, MapDim::SerialK),
+        ],
+    )
+    .unwrap();
+    let prog = lower_to_kir(&plan).unwrap();
+    let sizes = SizeMap::from_pairs(plan.bindings().iter().map(|b| (b.name.as_str(), b.extent)));
+    let (a, b) = random_inputs::<f64>(plan.contraction(), &sizes, 17);
+    for kind in FaultKind::ALL.into_iter().filter(|k| !k.is_static()) {
+        let faulted = apply_exec_faults(&prog, &ExecFaults::for_kind(kind));
+        let got = interpret(&faulted, &sizes, &a, &b)
+            .unwrap_or_else(|e| panic!("{}: faulted interpretation failed: {e}", kind.name()));
+        common::assert_golden_bits("ragged_eq1", kind.name(), &got);
     }
 }

@@ -7,7 +7,10 @@
 //!
 //! Extents are ragged (not divisible by typical tiles), so partial-tile
 //! guards, the vector alignment fallback, and prologue/prefetch staging
-//! are all exercised on most entries.
+//! are all exercised on most entries. Both the base and the transformed
+//! program must also reproduce their golden output bits exactly.
+
+mod common;
 
 use cogent::kir::{estimate_traffic, interpret, lint_kernel_program, lower_to_kir, PassManager};
 use cogent::prelude::*;
@@ -59,6 +62,14 @@ fn default_pipeline_is_sound_on_all_48_entries() {
             applied,
             got.max_abs_diff(&want)
         );
+        common::assert_golden_bits(&entry.name, "passes", &got);
+        let got_base = interpret(&base, &plan_sizes, &a, &b).unwrap_or_else(|e| {
+            panic!(
+                "{}: interpreter failed on the base program: {e}",
+                entry.name
+            )
+        });
+        common::assert_golden_bits(&entry.name, "base", &got_base);
 
         let lint = lint_kernel_program(&prog);
         assert!(
