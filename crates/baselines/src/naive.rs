@@ -3,10 +3,12 @@
 //! strategy must beat (and roughly what an untransformed nested-loop
 //! kernel achieves).
 
+use cogent_core::guard::naive_plan;
 use cogent_gpu_model::{GpuDevice, Precision};
-use cogent_gpu_sim::plan::{IndexBinding, KernelPlan, MapDim};
-use cogent_gpu_sim::{execute_plan, simulate};
-use cogent_ir::{Contraction, ContractionAnalysis, SizeMap};
+use cogent_gpu_sim::plan::KernelPlan;
+use cogent_gpu_sim::simulate;
+use cogent_ir::{Contraction, SizeMap};
+use cogent_kir::interpret_plan;
 use cogent_tensor::{DenseTensor, Element};
 
 use crate::engine::Measurement;
@@ -21,44 +23,12 @@ impl NaiveDirect {
         Self
     }
 
-    /// The naive plan: the output FVI gets a 32-wide thread dimension (one
-    /// warp), every other external is grid-mapped, internals are walked
-    /// one element per step (no k-tiling, no register tiles).
+    /// The naive plan ([`naive_plan`]): the output FVI gets a 32-wide
+    /// thread dimension (one warp), every other external is grid-mapped,
+    /// internals are walked one element per step (no k-tiling, no
+    /// register tiles).
     pub fn plan(&self, tc: &Contraction, sizes: &SizeMap) -> KernelPlan {
-        let tc = tc.normalized();
-        let analysis = ContractionAnalysis::new(&tc);
-        let c_fvi = tc.c().fvi().clone();
-        let mut bindings = Vec::new();
-        for idx in tc.external_indices() {
-            let extent = sizes.extent_of(idx);
-            if *idx == c_fvi {
-                bindings.push(IndexBinding::new(
-                    idx.clone(),
-                    extent,
-                    extent.min(32),
-                    MapDim::ThreadX,
-                ));
-            } else {
-                bindings.push(IndexBinding::new(idx.clone(), extent, 1, MapDim::Grid));
-            }
-        }
-        for idx in tc.batch_indices() {
-            bindings.push(IndexBinding::new(
-                idx.clone(),
-                sizes.extent_of(idx),
-                1,
-                MapDim::Grid,
-            ));
-        }
-        for idx in analysis.internals() {
-            bindings.push(IndexBinding::new(
-                idx.clone(),
-                sizes.extent_of(idx),
-                1,
-                MapDim::SerialK,
-            ));
-        }
-        KernelPlan::new(&tc, bindings).expect("naive plan is always legal")
+        naive_plan(tc, sizes).unwrap_or_else(|e| panic!("naive plan: {e}"))
     }
 
     /// Simulated end-to-end measurement.
@@ -73,7 +43,8 @@ impl NaiveDirect {
         Measurement::from_time(tc, sizes, report.time.total_s)
     }
 
-    /// Functional execution (correctness path).
+    /// Functional execution (correctness path): interprets the kernel
+    /// lowered from the plan. Panics when the operands do not match `sizes`.
     pub fn execute<T: Element>(
         &self,
         tc: &Contraction,
@@ -81,7 +52,7 @@ impl NaiveDirect {
         a: &DenseTensor<T>,
         b: &DenseTensor<T>,
     ) -> DenseTensor<T> {
-        execute_plan(&self.plan(tc, sizes), a, b)
+        interpret_plan(&self.plan(tc, sizes), a, b).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

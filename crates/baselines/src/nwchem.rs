@@ -10,8 +10,9 @@
 
 use cogent_gpu_model::{GpuDevice, Precision};
 use cogent_gpu_sim::plan::{IndexBinding, KernelPlan, MapDim};
-use cogent_gpu_sim::{execute_plan, simulate};
+use cogent_gpu_sim::simulate;
 use cogent_ir::{Contraction, ContractionAnalysis, IndexName, SizeMap};
+use cogent_kir::interpret_plan;
 use cogent_tensor::{DenseTensor, Element};
 
 use crate::engine::Measurement;
@@ -162,7 +163,8 @@ impl NwchemLikeGenerator {
         Measurement::from_time(tc, sizes, report.time.total_s)
     }
 
-    /// Functional execution (correctness path).
+    /// Functional execution (correctness path): interprets the kernel
+    /// lowered from the plan. Panics when the operands do not match `sizes`.
     pub fn execute<T: Element>(
         &self,
         tc: &Contraction,
@@ -170,7 +172,7 @@ impl NwchemLikeGenerator {
         a: &DenseTensor<T>,
         b: &DenseTensor<T>,
     ) -> DenseTensor<T> {
-        execute_plan(&self.plan(tc, sizes), a, b)
+        interpret_plan(&self.plan(tc, sizes), a, b).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

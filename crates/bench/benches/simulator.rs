@@ -1,14 +1,13 @@
-//! Benchmarks the virtual GPU: functional plan execution and the
-//! transaction tracer (the per-candidate cost of the TC-like autotuner).
+//! Benchmarks the virtual GPU's transaction tracer and simulation (the
+//! per-candidate cost of the TC-like autotuner).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cogent_gpu_model::{GpuDevice, Precision};
 use cogent_gpu_sim::plan::{IndexBinding, KernelPlan, MapDim};
+use cogent_gpu_sim::simulate;
 use cogent_gpu_sim::trace::{trace_transactions, TraceOptions};
-use cogent_gpu_sim::{execute_plan, simulate};
-use cogent_ir::{Contraction, SizeMap};
-use cogent_tensor::reference::random_inputs;
+use cogent_ir::Contraction;
 
 fn eq1_plan(n: usize) -> KernelPlan {
     let tc: Contraction = "abcd-aebf-dfce".parse().unwrap();
@@ -24,16 +23,6 @@ fn eq1_plan(n: usize) -> KernelPlan {
         ],
     )
     .unwrap()
-}
-
-fn bench_execute(c: &mut Criterion) {
-    let plan = eq1_plan(12);
-    let tc = plan.contraction().clone();
-    let sizes = SizeMap::uniform(&tc, 12);
-    let (a, b) = random_inputs::<f64>(&tc, &sizes, 7);
-    c.bench_function("execute_plan_12^6", |bch| {
-        bch.iter(|| execute_plan(black_box(&plan), &a, &b))
-    });
 }
 
 fn bench_trace_and_simulate(c: &mut Criterion) {
@@ -54,5 +43,5 @@ fn bench_trace_and_simulate(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_execute, bench_trace_and_simulate);
+criterion_group!(benches, bench_trace_and_simulate);
 criterion_main!(benches);

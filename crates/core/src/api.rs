@@ -28,8 +28,8 @@ pub struct GeneratedKernel {
     pub contraction: Contraction,
     /// The selected configuration.
     pub config: KernelConfig,
-    /// The lowered, executable plan (run it with
-    /// [`execute_plan`](cogent_gpu_sim::execute_plan)).
+    /// The lowered plan; [`interpret_plan`](cogent_kir::interpret_plan)
+    /// runs the kernel program lowered from it.
     pub plan: KernelPlan,
     /// Complete CUDA translation unit (kernel + host driver).
     pub cuda_source: String,
@@ -120,11 +120,10 @@ impl Cogent {
         self
     }
 
-    /// Enables the numeric divergence check: every candidate plan is
-    /// executed functionally on the representative sizes and compared to
-    /// the reference contraction before being returned. Off by default —
-    /// functional execution at representative sizes can cost far more than
-    /// the search itself.
+    /// Enables the numeric divergence check: every candidate's emitted
+    /// kernel program is interpreted at tile-clamped extents and compared
+    /// to the reference contraction before being returned
+    /// ([`divergence_check`]). Off by default.
     pub fn verify_numeric(mut self, on: bool) -> Self {
         self.verify_numeric = on;
         self
@@ -559,7 +558,7 @@ impl Cogent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cogent_gpu_sim::execute_plan;
+    use cogent_kir::interpret_plan;
     use cogent_tensor::reference::{contract_reference, random_inputs};
 
     #[test]
@@ -574,7 +573,7 @@ mod tests {
 
         // The emitted plan computes the right answer.
         let (a, b) = random_inputs::<f64>(&g.contraction, &sizes, 5);
-        let got = execute_plan(&g.plan, &a, &b);
+        let got = interpret_plan(&g.plan, &a, &b).unwrap();
         let want = contract_reference(&g.contraction, &sizes, &a, &b);
         assert!(got.approx_eq(&want, 1e-11));
     }
@@ -716,7 +715,7 @@ mod tests {
         assert!(g.provenance.to_string().contains("naive fallback"));
         // The fallback still computes the right answer.
         let (a, b) = random_inputs::<f64>(&g.contraction, &sizes, 3);
-        let got = execute_plan(&g.plan, &a, &b);
+        let got = interpret_plan(&g.plan, &a, &b).unwrap();
         let want = contract_reference(&g.contraction, &sizes, &a, &b);
         assert!(got.approx_eq(&want, 1e-11));
     }

@@ -9,9 +9,9 @@
 //! anywhere upstream (enumeration, pruning, lowering, or a caller
 //! hand-building plans) is caught before the plan reaches simulation or
 //! code emission. [`divergence_check`] closes the remaining gap — a plan
-//! can be resource-legal yet compute the wrong answer — by executing the
-//! plan functionally on small random inputs and comparing against the
-//! reference contraction.
+//! can be resource-legal yet compute the wrong answer — by interpreting
+//! the kernel program lowered from it on small random inputs and comparing
+//! against the reference contraction.
 //!
 //! On top of the two checks sits the degradation ladder used by
 //! `Cogent::generate`: walk the ranked configurations until one passes,
@@ -28,7 +28,6 @@ use std::time::Duration;
 
 use cogent_gpu_model::{GpuDevice, Precision};
 use cogent_gpu_sim::plan::{IndexBinding, KernelPlan, MapDim, PlanError, StoreMode};
-use cogent_gpu_sim::{try_execute_plan, ExecError};
 use cogent_ir::{Contraction, ContractionAnalysis, IndexClass, IndexName, SizeMap};
 use cogent_kir::KernelProgram;
 use cogent_tensor::reference::{contract_reference, random_inputs};
@@ -121,15 +120,15 @@ pub enum PlanViolation {
         /// The mode the plan carries.
         actual: StoreMode,
     },
-    /// Functional execution of the plan diverged from the reference
+    /// The interpreted kernel program diverged from the reference
     /// contraction.
     NumericDivergence {
         /// Largest absolute element difference observed.
         max_abs_diff: f64,
     },
-    /// Functional execution failed outright.
+    /// The kernel-IR interpreter rejected the program or its operands.
     ExecutionFailed {
-        /// The executor's message.
+        /// The interpreter's message.
         detail: String,
     },
 }
@@ -412,38 +411,24 @@ pub fn record_violations(violations: &[PlanViolation]) {
     }
 }
 
-/// Executes `plan` functionally on small random inputs and compares
-/// against the reference contraction, in two layers:
-///
-/// 1. the fast plan-level executor at the plan's own extents, and
-/// 2. the kernel-IR interpreter running `prog` — the program lowered from
-///    `plan` with the configured passes, i.e. the kernel that is printed —
-///    at tile-clamped extents (each extent cut to `tile + 1`), which is
-///    cheap but exercises every partial-tile guard, vector fallback and
-///    prefetch in the emitted artifact.
+/// Interprets `prog` — the program lowered from `plan` with the configured
+/// passes, i.e. the kernel that is printed — on small random inputs and
+/// compares against the reference contraction. Extents are tile-clamped
+/// (each cut to `tile + 1`), which is cheap but exercises every
+/// partial-tile guard, vector fallback and prefetch in the emitted
+/// artifact.
 ///
 /// # Errors
 ///
-/// [`PlanViolation::ExecutionFailed`] when the executor or the
-/// interpreter rejects the operands, [`PlanViolation::NumericDivergence`]
-/// when the largest absolute element difference exceeds `tolerance`.
+/// [`PlanViolation::ExecutionFailed`] when the interpreter rejects the
+/// program or its operands, [`PlanViolation::NumericDivergence`] when the
+/// largest absolute element difference exceeds `tolerance`.
 pub fn divergence_check(
     plan: &KernelPlan,
     prog: &KernelProgram,
     seed: u64,
     tolerance: f64,
 ) -> Result<(), PlanViolation> {
-    let sizes = SizeMap::from_pairs(plan.bindings().iter().map(|b| (b.name.as_str(), b.extent)));
-    let (a, b) = random_inputs::<f64>(plan.contraction(), &sizes, seed);
-    let got = try_execute_plan(plan, &a, &b).map_err(|e| PlanViolation::ExecutionFailed {
-        detail: e.to_string(),
-    })?;
-    let want = contract_reference(plan.contraction(), &sizes, &a, &b);
-    let max_abs_diff = got.max_abs_diff(&want);
-    if max_abs_diff > tolerance {
-        return Err(PlanViolation::NumericDivergence { max_abs_diff });
-    }
-
     let sizes = SizeMap::from_pairs(
         plan.bindings()
             .iter()
@@ -470,8 +455,8 @@ pub fn divergence_check(
 /// No register tiles, at most 32·`TBk` staged elements — within limits on
 /// any real device.
 ///
-/// Mirrors the `NaiveDirect` baseline's plan so the fallback's behavior
-/// matches the performance floor reported by the baseline suite.
+/// This is also the `NaiveDirect` baseline's plan, so the fallback's
+/// behavior matches the performance floor reported by the baseline suite.
 ///
 /// # Errors
 ///
@@ -665,8 +650,6 @@ pub enum CogentError {
     },
     /// A plan-construction error.
     Plan(PlanError),
-    /// A functional-execution error.
-    Exec(ExecError),
     /// The enumeration budget was exhausted before any configuration was
     /// produced.
     BudgetExhausted {
@@ -711,7 +694,6 @@ impl fmt::Display for CogentError {
                 )
             }
             CogentError::Plan(e) => write!(f, "plan construction failed: {e}"),
-            CogentError::Exec(e) => write!(f, "functional execution failed: {e}"),
             CogentError::BudgetExhausted {
                 max_configs,
                 time_budget,
@@ -742,7 +724,6 @@ impl Error for CogentError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CogentError::Plan(e) => Some(e),
-            CogentError::Exec(e) => Some(e),
             _ => None,
         }
     }
@@ -751,12 +732,6 @@ impl Error for CogentError {
 impl From<PlanError> for CogentError {
     fn from(e: PlanError) -> Self {
         CogentError::Plan(e)
-    }
-}
-
-impl From<ExecError> for CogentError {
-    fn from(e: ExecError) -> Self {
-        CogentError::Exec(e)
     }
 }
 
@@ -901,8 +876,8 @@ mod tests {
 
     #[test]
     fn naive_plan_is_always_viable() {
-        // Small extents: the divergence check runs the full functional
-        // executor, which is O(product of extents) in a debug build.
+        // Small extents: the divergence check interprets the whole kernel,
+        // which is O(product of extents) in a debug build.
         for eq in ["ij-ik-kj", "abcd-aebf-dfce", "abc-bda-dc"] {
             let tc: Contraction = eq.parse().unwrap();
             let sizes = SizeMap::uniform(&tc, 6);

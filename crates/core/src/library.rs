@@ -169,7 +169,7 @@ impl KernelLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cogent_gpu_sim::execute_plan;
+    use cogent_kir::interpret_plan;
     use cogent_tensor::reference::{contract_reference, random_inputs};
 
     fn matmul_library() -> (Contraction, KernelLibrary) {
@@ -217,7 +217,7 @@ mod tests {
             .lower(&version.kernel.contraction, &actual)
             .unwrap();
         let (a, b) = random_inputs::<f64>(&version.kernel.contraction, &actual, 2);
-        let got = execute_plan(&plan, &a, &b);
+        let got = interpret_plan(&plan, &a, &b).unwrap();
         let want = contract_reference(&version.kernel.contraction, &actual, &a, &b);
         assert!(got.approx_eq(&want, 1e-11));
     }

@@ -680,7 +680,7 @@ mod tests {
 
     #[test]
     fn best_config_is_lowerable_and_correct() {
-        use cogent_gpu_sim::execute_plan;
+        use cogent_kir::interpret_plan;
         use cogent_tensor::reference::{contract_reference, random_inputs};
 
         let tc: Contraction = "abcd-aebf-dfce".parse().unwrap();
@@ -696,7 +696,7 @@ mod tests {
         let norm = tc.normalized();
         let plan = best.config.lower(&norm, &sizes).unwrap();
         let (a, b) = random_inputs::<f64>(&norm, &sizes, 17);
-        let got = execute_plan(&plan, &a, &b);
+        let got = interpret_plan(&plan, &a, &b).unwrap();
         let want = contract_reference(&norm, &sizes, &a, &b);
         assert!(got.approx_eq(&want, 1e-11));
     }

@@ -1,19 +1,19 @@
 //! The fault-detection matrix: every [`FaultKind`] crossed with the
 //! detection layer that must flag it. Static faults (illegal plans) are
 //! rejected by the plan validator before anything executes; dynamic faults
-//! (misbehaving execution) produce answers that measurably diverge from
-//! the reference contraction — at the plan level (`execute_plan_with_faults`)
-//! *and* at the IR level, where each fault is a rewrite of the lowered
-//! kernel tree caught by the KIR interpreter and/or the structural lint.
-//! The invariant under test is *no silent wrong answers*: for each fault
-//! class at least one layer fires, and it is exactly the layer the
-//! taxonomy assigns.
+//! (misbehaving execution) are rewrites of the lowered kernel tree whose
+//! interpreted answers measurably diverge from the reference contraction,
+//! and the two that break a structural invariant are also caught by the
+//! IR lint. The invariant under test is *no silent wrong answers*: for
+//! each fault class at least one layer fires, and it is exactly the layer
+//! the taxonomy assigns.
 
 use cogent_core::guard::validate_plan;
 use cogent_gpu_model::{GpuDevice, Precision};
 use cogent_gpu_sim::plan::{IndexBinding, KernelPlan, MapDim};
-use cogent_gpu_sim::{execute_plan_with_faults, ExecFaults, FaultInjector, FaultKind};
+use cogent_gpu_sim::{ExecFaults, FaultInjector, FaultKind};
 use cogent_ir::{Contraction, SizeMap};
+use cogent_kir::{apply_exec_faults, interpret, lint_kernel_program, lower_to_kir};
 use cogent_tensor::reference::{contract_reference, random_inputs};
 
 /// Eq. 1 of the paper with ragged extents so every mapping dimension has
@@ -41,8 +41,10 @@ fn clean_plan_passes_both_detection_layers() {
     let (plan, sizes) = ragged_plan();
     let device = GpuDevice::v100();
     validate_plan(&plan, &device, Precision::F64).expect("clean plan validates");
+    let prog = lower_to_kir(&plan).expect("ragged plan lowers");
+    assert!(lint_kernel_program(&prog).is_clean());
     let (a, b) = random_inputs::<f64>(plan.contraction(), &sizes, 11);
-    let got = execute_plan_with_faults(&plan, &a, &b, ExecFaults::NONE).unwrap();
+    let got = interpret(&prog, &sizes, &a, &b).expect("clean program interprets");
     let want = contract_reference(plan.contraction(), &sizes, &a, &b);
     assert!(got.approx_eq(&want, 1e-11));
 }
@@ -53,8 +55,7 @@ fn clean_plan_passes_both_detection_layers() {
 fn every_fault_kind_is_caught_by_its_assigned_layer() {
     let (plan, sizes) = ragged_plan();
     let device = GpuDevice::v100();
-    let (a, b) = random_inputs::<f64>(plan.contraction(), &sizes, 7);
-    let want = contract_reference(plan.contraction(), &sizes, &a, &b);
+    let prog = lower_to_kir(&plan).expect("ragged plan lowers");
 
     for kind in FaultKind::ALL {
         for seed in 0..5u64 {
@@ -75,64 +76,34 @@ fn every_fault_kind_is_caught_by_its_assigned_layer() {
                 let untouched = FaultInjector::new(seed).inject_plan(&plan, kind);
                 validate_plan(&untouched, &device, Precision::F64)
                     .expect("dynamic faults leave the plan statically valid");
-                // ...but the faulted execution must measurably diverge.
-                let got =
-                    execute_plan_with_faults(&plan, &a, &b, ExecFaults::for_kind(kind)).unwrap();
+                // ...but the faulted kernel tree, interpreted, must
+                // measurably diverge.
+                let (a, b) = random_inputs::<f64>(plan.contraction(), &sizes, 7 + seed);
+                let want = contract_reference(plan.contraction(), &sizes, &a, &b);
+                let faulted = apply_exec_faults(&prog, &ExecFaults::for_kind(kind));
+                let got = interpret(&faulted, &sizes, &a, &b).unwrap_or_else(|e| {
+                    panic!(
+                        "{} (seed {seed}): faulted interpretation failed: {e}",
+                        kind.name()
+                    )
+                });
                 let diff = got.max_abs_diff(&want);
                 assert!(
                     diff > 1e-9,
-                    "{}: silent wrong answer (diff {diff:e} below threshold)",
+                    "{} (seed {seed}): silent wrong answer (diff {diff:e} below threshold)",
                     kind.name()
                 );
+                // Guard-coverage and barrier-placement faults also violate
+                // the tree's structural invariants, so the lint fires
+                // before any execution happens at all.
+                if matches!(kind, FaultKind::DroppedTailGuard | FaultKind::SkippedSync) {
+                    assert!(
+                        !lint_kernel_program(&faulted).is_clean(),
+                        "{}: structural lint missed the faulted tree",
+                        kind.name()
+                    );
+                }
             }
-        }
-    }
-}
-
-/// The IR-level detection layer: each dynamic fault, applied as a rewrite
-/// of the lowered kernel tree, is caught by the KIR interpreter (the
-/// faulted program computes a measurably wrong answer) and — for the two
-/// faults that break a *structural* invariant rather than just the
-/// numerics — by the structural lint as well.
-#[test]
-fn dynamic_faults_are_caught_at_the_ir_level() {
-    use cogent_kir::{apply_exec_faults, interpret, lint_kernel_program, lower_to_kir};
-
-    let (plan, sizes) = ragged_plan();
-    let prog = lower_to_kir(&plan).expect("ragged plan lowers");
-    let (a, b) = random_inputs::<f64>(plan.contraction(), &sizes, 13);
-    let want = contract_reference(plan.contraction(), &sizes, &a, &b);
-
-    let clean = interpret(&prog, &sizes, &a, &b).expect("clean program interprets");
-    assert!(
-        clean.approx_eq(&want, 1e-11),
-        "clean interpreter run diverges"
-    );
-    assert!(lint_kernel_program(&prog).is_clean());
-
-    for kind in FaultKind::ALL {
-        if kind.is_static() {
-            continue;
-        }
-        let faulted = apply_exec_faults(&prog, &ExecFaults::for_kind(kind));
-        let got = interpret(&faulted, &sizes, &a, &b)
-            .unwrap_or_else(|e| panic!("{}: faulted interpretation failed: {e}", kind.name()));
-        let diff = got.max_abs_diff(&want);
-        assert!(
-            diff > 1e-9,
-            "{}: IR-level silent wrong answer (diff {diff:e})",
-            kind.name()
-        );
-        // Guard-coverage and barrier-placement faults also violate the
-        // tree's structural invariants, so the lint fires before any
-        // execution happens at all.
-        if matches!(kind, FaultKind::DroppedTailGuard | FaultKind::SkippedSync) {
-            let report = lint_kernel_program(&faulted);
-            assert!(
-                !report.is_clean(),
-                "{}: structural lint missed the faulted tree",
-                kind.name()
-            );
         }
     }
 }

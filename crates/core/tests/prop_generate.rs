@@ -5,8 +5,8 @@
 
 use cogent_core::codegen::lint_kernel_source;
 use cogent_core::Cogent;
-use cogent_gpu_sim::execute_plan;
 use cogent_ir::{Contraction, SizeMap, TensorRef};
+use cogent_kir::interpret_plan;
 use cogent_tensor::reference::{contract_reference, random_inputs};
 use proptest::prelude::*;
 
@@ -70,7 +70,7 @@ proptest! {
     fn generate_execute_verify((tc, sizes) in case_strategy(), seed in 0u64..50) {
         let generated = Cogent::new().generate(&tc, &sizes).expect("generates");
         let (a, b) = random_inputs::<f64>(&generated.contraction, &sizes, seed);
-        let got = execute_plan(&generated.plan, &a, &b);
+        let got = interpret_plan(&generated.plan, &a, &b).expect("interprets");
         let want = contract_reference(&generated.contraction, &sizes, &a, &b);
         prop_assert!(
             got.approx_eq(&want, 1e-10),

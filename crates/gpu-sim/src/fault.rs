@@ -1,4 +1,4 @@
-//! Seeded fault injection for kernel plans and their execution.
+//! Seeded fault injection for kernel plans.
 //!
 //! The guard subsystem (`cogent-core`'s plan validator plus the numeric
 //! divergence check against the reference contraction) claims that no
@@ -6,20 +6,18 @@
 //! violating a device or structural invariant — are rejected before any
 //! execution, and *dynamic* faults — a kernel whose generated code
 //! misbehaves at runtime — change the computed output enough for the
-//! divergence check to flag them. This module provides the counterpart
+//! divergence check to flag them. This module provides the vocabulary
 //! that makes the claim testable: a deterministic [`FaultInjector`] that
-//! corrupts validated plans in controlled ways, and
-//! [`execute_plan_with_faults`], which runs the functional executor with
-//! deliberate misbehaviors switched on ([`ExecFaults`]).
+//! corrupts validated plans in controlled ways, and [`ExecFaults`], the
+//! dynamic misbehaviors that `cogent_kir::apply_exec_faults` writes into
+//! a lowered kernel program.
 //!
 //! Every fault class in [`FaultKind`] maps to exactly one detection layer
 //! (`FaultKind::is_static`), so a table-driven test can assert the full
 //! detection matrix.
 
 use cogent_ir::IndexName;
-use cogent_tensor::{DenseTensor, Element};
 
-use crate::exec::{execute_faulted, ExecError, TensorAccess};
 use crate::plan::{KernelPlan, MapDim};
 
 /// The classes of fault the injector can produce.
@@ -96,8 +94,7 @@ impl FaultKind {
     }
 }
 
-/// Which execution-level misbehaviors are switched on. All off by default;
-/// the executor's hot path is untouched in that case.
+/// Which execution-level misbehaviors are switched on. All off by default.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecFaults {
     /// Clamp instead of zero-fill out-of-bounds staged positions.
@@ -216,33 +213,11 @@ impl FaultInjector {
     }
 }
 
-/// Runs the functional executor with the given misbehaviors enabled and
-/// returns the (generally wrong) output tensor. Test harness entry point:
-/// the result is meant to be compared against
-/// `cogent_tensor::reference::contract_reference` to prove the divergence
-/// check catches the fault.
-///
-/// # Errors
-///
-/// Same as [`crate::exec::try_execute_plan`].
-pub fn execute_plan_with_faults<T: Element>(
-    plan: &KernelPlan,
-    a: &DenseTensor<T>,
-    b: &DenseTensor<T>,
-    faults: ExecFaults,
-) -> Result<DenseTensor<T>, ExecError> {
-    let acc_c = TensorAccess::try_new(plan, plan.contraction().c())?;
-    let mut c = DenseTensor::<T>::zeros(&acc_c.extents());
-    execute_faulted(plan, a, b, &mut c, faults)?;
-    Ok(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::IndexBinding;
-    use cogent_ir::{Contraction, SizeMap};
-    use cogent_tensor::reference::{contract_reference, random_inputs};
+    use cogent_ir::Contraction;
 
     fn ragged_plan() -> KernelPlan {
         let tc: Contraction = "abcd-aebf-dfce".parse().unwrap();
@@ -286,33 +261,5 @@ mod tests {
                 kind.name()
             );
         }
-    }
-
-    #[test]
-    fn dynamic_faults_change_the_answer() {
-        let plan = ragged_plan();
-        let sizes =
-            SizeMap::from_pairs(plan.bindings().iter().map(|b| (b.name.as_str(), b.extent)));
-        let (a, b) = random_inputs::<f64>(plan.contraction(), &sizes, 9);
-        let want = contract_reference(plan.contraction(), &sizes, &a, &b);
-        for kind in FaultKind::ALL.into_iter().filter(|k| !k.is_static()) {
-            let got = execute_plan_with_faults(&plan, &a, &b, ExecFaults::for_kind(kind)).unwrap();
-            assert!(
-                got.max_abs_diff(&want) > 1e-9,
-                "{} did not perturb the result",
-                kind.name()
-            );
-        }
-    }
-
-    #[test]
-    fn no_faults_matches_reference() {
-        let plan = ragged_plan();
-        let sizes =
-            SizeMap::from_pairs(plan.bindings().iter().map(|b| (b.name.as_str(), b.extent)));
-        let (a, b) = random_inputs::<f64>(plan.contraction(), &sizes, 9);
-        let want = contract_reference(plan.contraction(), &sizes, &a, &b);
-        let got = execute_plan_with_faults(&plan, &a, &b, ExecFaults::NONE).unwrap();
-        assert!(got.approx_eq(&want, 1e-11));
     }
 }

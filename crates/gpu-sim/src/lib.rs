@@ -1,20 +1,21 @@
-//! A functional virtual GPU for tensor-contraction kernel plans.
+//! A virtual GPU for tensor-contraction kernel plans.
 //!
 //! The COGENT paper evaluates generated CUDA on real P100/V100 GPUs. This
-//! crate is the substitute substrate: it takes a [`KernelPlan`] — the exact
-//! mapping/tiling structure a generated kernel embodies (Algorithm 1 of the
-//! paper) — and
+//! crate is the substitute substrate: it defines the [`KernelPlan`] — the
+//! exact mapping/tiling structure a generated kernel embodies (Algorithm 1
+//! of the paper) — and
 //!
-//! * **executes it functionally** ([`exec`]): grid → thread blocks →
-//!   threads, shared-memory staging of input slices, per-thread register
-//!   tiles, outer-product accumulation, boundary guards — on host memory,
-//!   so the mapping and index arithmetic are verified against the reference
-//!   contraction;
 //! * **traces its DRAM traffic** ([`trace`]): enumerates the global-memory
 //!   addresses each warp touches and counts aligned 128-byte transactions,
 //!   the quantity the paper's cost model estimates analytically;
 //! * **predicts its wall-clock time** ([`metrics`]): occupancy + traced
-//!   traffic + FLOPs through the roofline model of `cogent-gpu-model`.
+//!   traffic + FLOPs through the roofline model of `cogent-gpu-model`;
+//! * **corrupts it on purpose** ([`fault`]): the seeded fault injector
+//!   behind the guard layer's detection matrix.
+//!
+//! Running a plan on data is not this crate's job: `cogent-kir` lowers the
+//! plan to the kernel program that is printed and interprets that program
+//! (`cogent_kir::interpret_plan`).
 //!
 //! # Examples
 //!
@@ -36,15 +37,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod exec;
+mod access;
 pub mod fault;
 pub mod metrics;
 pub mod plan;
 pub mod smem;
 pub mod trace;
 
-pub use exec::{execute_plan, try_execute_plan, try_execute_plan_into, ExecError};
-pub use fault::{execute_plan_with_faults, ExecFaults, FaultInjector, FaultKind};
+pub use fault::{ExecFaults, FaultInjector, FaultKind};
 pub use metrics::{simulate, SimReport};
 pub use plan::{IndexBinding, KernelPlan, MapDim, PlanError, StoreMode};
 pub use smem::{analyze_bank_conflicts, BankConflictReport};

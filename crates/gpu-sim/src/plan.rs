@@ -5,7 +5,8 @@
 //! (thread-block X/Y, register-tile X/Y, the serial contracted dimension,
 //! or grid-only) and the tile size of each index. The plan is the contract
 //! between the code generator (which lowers a chosen configuration to a
-//! plan and emits equivalent CUDA) and this crate's executor/tracer.
+//! plan and emits equivalent CUDA), the kernel-IR lowering that gives it
+//! its meaning (`cogent-kir`), and this crate's tracer.
 
 use std::error::Error;
 use std::fmt;

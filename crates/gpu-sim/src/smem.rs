@@ -14,7 +14,7 @@
 
 use cogent_gpu_model::{GpuDevice, Precision};
 
-use crate::exec::TensorAccess;
+use crate::access::TensorAccess;
 use crate::plan::{KernelPlan, MapDim};
 
 /// Number of shared-memory banks on all modeled devices.

@@ -14,7 +14,7 @@
 
 use cogent_gpu_model::{GpuDevice, Precision};
 
-use crate::exec::TensorAccess;
+use crate::access::TensorAccess;
 use crate::plan::{KernelPlan, MapDim};
 
 /// Sampling controls for the tracer.
@@ -268,7 +268,7 @@ fn trace_store(
     let elem_bytes = precision.bytes();
     let mut total = 0u128;
     let mut addrs: Vec<usize> = Vec::with_capacity(warp);
-    let tables = crate::exec::output_coord_tables(plan, acc_c);
+    let tables = crate::access::output_coord_tables(plan, acc_c);
 
     for ry in 0..regy {
         for rx in 0..regx {
@@ -280,7 +280,7 @@ fn trace_store(
                     let mut off = 0usize;
                     let mut in_bounds = true;
                     for (d, table) in acc_c.dims.iter().zip(&tables) {
-                        let crate::exec::CoordSource::Group(dim, _) = d.source;
+                        let crate::access::CoordSource::Group(dim, _) = d.source;
                         let lin = match dim {
                             MapDim::ThreadX => tx,
                             MapDim::ThreadY => ty,

@@ -1,17 +1,15 @@
-//! Property test: for random contractions, random legal mappings and
-//! random (often non-dividing) tile sizes, executing the kernel plan must
-//! reproduce the reference contraction exactly.
+//! The random-but-legal kernel plans shared by the plan property tests
+//! (`cogent-gpu-sim`'s structure invariants and `cogent-kir`'s
+//! interpreter-vs-reference check).
 
-use cogent_gpu_sim::execute_plan;
 use cogent_gpu_sim::plan::{IndexBinding, KernelPlan, MapDim};
-use cogent_ir::{Contraction, SizeMap, TensorRef};
-use cogent_tensor::reference::{contract_reference, random_inputs};
+use cogent_ir::{Contraction, TensorRef};
 use proptest::prelude::*;
 
 /// Builds a random-but-legal plan: A-externals distributed over
 /// ThreadX/RegX/Grid, B-externals over ThreadY/RegY/Grid, internals on
 /// SerialK, with tile sizes in `1..=extent`.
-fn plan_strategy() -> impl Strategy<Value = KernelPlan> {
+pub fn plan_strategy() -> impl Strategy<Value = KernelPlan> {
     (
         1usize..=2,                          // externals in A
         1usize..=2,                          // externals in B
@@ -89,43 +87,4 @@ fn plan_strategy() -> impl Strategy<Value = KernelPlan> {
             }
             KernelPlan::new(&tc, bindings).expect("legal plan")
         })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn plan_execution_matches_reference(plan in plan_strategy(), seed in 0u64..100) {
-        let tc = plan.contraction();
-        let sizes = SizeMap::from_pairs(
-            plan.bindings().iter().map(|b| (b.name.as_str(), b.extent)),
-        );
-        let (a, b) = random_inputs::<f64>(tc, &sizes, seed);
-        let got = execute_plan(&plan, &a, &b);
-        let want = contract_reference(tc, &sizes, &a, &b);
-        prop_assert!(
-            got.approx_eq(&want, 1e-11),
-            "plan {} diverged: max diff {}",
-            plan,
-            got.max_abs_diff(&want)
-        );
-    }
-
-    #[test]
-    fn plan_structure_invariants(plan in plan_strategy()) {
-        // Thread and register sizes multiply out to the block's data space.
-        let tbx = plan.group_size(MapDim::ThreadX);
-        let tby = plan.group_size(MapDim::ThreadY);
-        let rx = plan.group_size(MapDim::RegX);
-        let ry = plan.group_size(MapDim::RegY);
-        prop_assert_eq!(plan.threads_per_block(), tbx * tby);
-        prop_assert_eq!(plan.outputs_per_thread(), rx * ry);
-        // Shared memory holds exactly the two staged tiles.
-        prop_assert_eq!(
-            plan.smem_bytes(8),
-            (plan.a_tile_elements() + plan.b_tile_elements()) * 8
-        );
-        // Padded flops never undercount true flops.
-        prop_assert!(plan.padded_flops() >= plan.true_flops());
-    }
 }

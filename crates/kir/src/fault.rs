@@ -1,12 +1,11 @@
 //! Fault injection as tree rewrites.
 //!
 //! The simulator's [`ExecFaults`] describe four dynamic bug classes the
-//! fault matrix must catch. At the plan level they are modelled inside
-//! `execute_plan_with_faults`; at the IR level each fault becomes a small
-//! *rewrite of the program tree itself*, so the faulted artifact is the
-//! same object the printers print and the interpreter runs. This is the
-//! stronger property: a detection layer that flags the faulted tree flags
-//! the exact kernel text a buggy lowering would have emitted.
+//! fault matrix must catch. Each fault becomes a small *rewrite of the
+//! program tree itself*, so the faulted artifact is the same object the
+//! printers print and the interpreter runs: a detection layer that flags
+//! the faulted tree flags the exact kernel text a buggy lowering would
+//! have emitted.
 //!
 //! | fault                 | rewrite                                                |
 //! |-----------------------|--------------------------------------------------------|
@@ -106,8 +105,8 @@ fn corrupt_accumulation(stmts: &mut [Stmt]) {
 
 /// In the step loop: move the compute phase ahead of the staging phases,
 /// so step 0 computes on zero-initialized tiles and every later step
-/// computes on the previous step's stale tiles — the plan-level
-/// `skip_sync` semantics.
+/// computes on the previous step's stale tiles — what a missing
+/// `__syncthreads()` between the phases allows.
 fn skip_sync(stmts: &mut Vec<Stmt>) {
     let compute_at = stmts.iter().position(|s| {
         matches!(

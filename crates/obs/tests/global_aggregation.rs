@@ -98,8 +98,9 @@ fn gauge_last_writer_wins_across_threads() {
 
 #[test]
 fn exited_threads_drain_into_the_accumulator() {
+    // Only the drained counter is asserted: `live_shards()` is process
+    // global, and a sibling test thread exiting can change it at any time.
     let snapshot = snapshot_of(|| {
-        let live_before = registry::live_shards();
         std::thread::spawn(|| {
             let capture = Capture::start("job");
             cogent_obs::counter("drain.check", 42);
@@ -107,10 +108,9 @@ fn exited_threads_drain_into_the_accumulator() {
         })
         .join()
         .unwrap();
-        // The worker's shard unregistered at thread exit...
-        assert_eq!(registry::live_shards(), live_before);
     });
-    // ...but its metrics survived the join.
+    // The worker's shard is gone with its thread, but its metrics survived
+    // the join, counted once.
     assert_eq!(snapshot.counters["drain.check"], 42);
 }
 

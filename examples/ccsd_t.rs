@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let want = contract_reference(&tc, &sizes, &a, &b);
 
     let generated = Cogent::new().generate(&tc, &sizes)?;
-    let via_cogent = execute_plan(&generated.plan, &a, &b);
+    let via_cogent = interpret_plan(&generated.plan, &a, &b)?;
     let via_nwchem = NwchemLikeGenerator::new().execute(&tc, &sizes, &a, &b);
     let via_ttgt = TtgtEngine::new().execute(&tc, &sizes, &a, &b);
 

@@ -61,7 +61,7 @@ fn cogent_generates_and_executes_batched_contraction() {
     assert_eq!(g.plan.binding("n").unwrap().tile, 1);
     assert_eq!(g.plan.binding("n").unwrap().dim, cogent::sim::MapDim::Grid,);
     let (a, b) = random_inputs::<f64>(&g.contraction, &sizes, 2);
-    let got = execute_plan(&g.plan, &a, &b);
+    let got = interpret_plan(&g.plan, &a, &b).unwrap();
     let want = contract_reference(&g.contraction, &sizes, &a, &b);
     assert!(got.approx_eq(&want, 1e-11));
     // The emitted CUDA treats n as a grid dimension with tile 1.
@@ -80,7 +80,7 @@ fn batched_6d_contraction_with_register_tiles() {
     let sizes = SizeMap::from_pairs([("a", 8), ("b", 6), ("c", 7), ("d", 5), ("e", 9), ("n", 4)]);
     let g = Cogent::new().generate(&tc, &sizes).unwrap();
     let (a, b) = random_inputs::<f64>(&g.contraction, &sizes, 3);
-    let got = execute_plan(&g.plan, &a, &b);
+    let got = interpret_plan(&g.plan, &a, &b).unwrap();
     let want = contract_reference(&g.contraction, &sizes, &a, &b);
     assert!(got.approx_eq(&want, 1e-11));
 }

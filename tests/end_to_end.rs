@@ -1,11 +1,11 @@
-//! End-to-end integration: generate → lower → execute → verify, across
+//! End-to-end integration: generate → lower → interpret → verify, across
 //! crates, on representative contractions of every TCCG group.
 
 use cogent::prelude::*;
 use cogent::tensor::reference::{contract_reference, random_inputs};
 
 /// Generates a kernel for the entry at a functionally-testable size and
-/// checks the executed plan against the reference contraction.
+/// checks the interpreted kernel against the reference contraction.
 fn verify_entry(entry: &cogent::tccg::TccgEntry, shrink: usize) {
     let tc = entry.contraction();
     let sizes = entry.sizes().scaled_down(shrink);
@@ -13,7 +13,7 @@ fn verify_entry(entry: &cogent::tccg::TccgEntry, shrink: usize) {
         .generate(&tc, &sizes)
         .unwrap_or_else(|e| panic!("{}: generation failed: {e}", entry.name));
     let (a, b) = random_inputs::<f64>(&generated.contraction, &sizes, entry.id as u64);
-    let got = execute_plan(&generated.plan, &a, &b);
+    let got = interpret_plan(&generated.plan, &a, &b).unwrap();
     let want = contract_reference(&generated.contraction, &sizes, &a, &b);
     assert!(
         got.approx_eq(&want, 1e-10),
@@ -78,7 +78,7 @@ fn generated_kernel_is_size_agnostic() {
             .lower(&generated.contraction, &sizes)
             .expect("configuration lowers at any size");
         let (a, b) = random_inputs::<f64>(&generated.contraction, &sizes, extent as u64);
-        let got = execute_plan(&plan, &a, &b);
+        let got = interpret_plan(&plan, &a, &b).unwrap();
         let want = contract_reference(&generated.contraction, &sizes, &a, &b);
         assert!(got.approx_eq(&want, 1e-11), "extent {extent}");
     }
@@ -94,7 +94,7 @@ fn explicit_notation_round_trip() {
     let sizes = SizeMap::from_pairs([("h1", 6), ("h2", 6), ("h3", 8), ("p4", 10), ("p5", 10)]);
     let generated = Cogent::new().generate(&tc, &sizes).unwrap();
     let (a, b) = random_inputs::<f64>(&generated.contraction, &sizes, 5);
-    let got = execute_plan(&generated.plan, &a, &b);
+    let got = interpret_plan(&generated.plan, &a, &b).unwrap();
     let want = contract_reference(&generated.contraction, &sizes, &a, &b);
     assert!(got.approx_eq(&want, 1e-11));
     assert!(generated.cuda_source.contains("N_h3"));
@@ -108,7 +108,7 @@ fn matvec_shape_generates_and_executes() {
     let sizes = SizeMap::from_pairs([("i", 512), ("k", 64)]);
     let g = Cogent::new().generate(&tc, &sizes).unwrap();
     let (a, b) = random_inputs::<f64>(&g.contraction, &sizes, 9);
-    let got = execute_plan(&g.plan, &a, &b);
+    let got = interpret_plan(&g.plan, &a, &b).unwrap();
     let want = contract_reference(&g.contraction, &sizes, &a, &b);
     assert!(got.approx_eq(&want, 1e-11));
 }
@@ -122,7 +122,7 @@ fn f32_pipeline_end_to_end() {
         .generate(&tc, &sizes)
         .unwrap();
     let (a, b) = random_inputs::<f32>(&generated.contraction, &sizes, 3);
-    let got = execute_plan(&generated.plan, &a, &b);
+    let got = interpret_plan(&generated.plan, &a, &b).unwrap();
     let want = contract_reference(&generated.contraction, &sizes, &a, &b);
     assert!(got.approx_eq(&want, 1e-3));
 }

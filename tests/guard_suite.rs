@@ -46,7 +46,7 @@ fn generate_with_verification_never_panics_across_the_suite() {
 
         // Whatever rung of the ladder won, the answer is right.
         let (a, b) = random_inputs::<f64>(&generated.contraction, &sizes, entry.id as u64 + 3000);
-        let got = execute_plan(&generated.plan, &a, &b);
+        let got = interpret_plan(&generated.plan, &a, &b).unwrap();
         let want = contract_reference(&generated.contraction, &sizes, &a, &b);
         assert!(
             got.approx_eq(&want, 1e-10),

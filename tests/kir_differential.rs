@@ -1,8 +1,7 @@
 //! Differential pinning of the kernel-IR interpreter: for every entry of
 //! the 48-benchmark TCCG suite, the lowered [`cogent::kir::KernelProgram`]
-//! interpreted over random inputs must agree with both the plan-level
-//! executor and the sequential reference contraction, and reproduce its
-//! golden output bits exactly.
+//! interpreted over random inputs must agree with the sequential reference
+//! contraction and reproduce its golden output bits exactly.
 //!
 //! The interpreter consumes the *same tree the backends print*, so this
 //! test certifies the semantics of the emitted kernel text itself — the
@@ -15,11 +14,11 @@ mod common;
 
 use cogent::kir::{apply_exec_faults, interpret, interpret_plan, lower_to_kir};
 use cogent::prelude::*;
-use cogent::sim::{try_execute_plan, ExecFaults, FaultKind, IndexBinding, MapDim};
+use cogent::sim::{ExecFaults, FaultKind, IndexBinding, MapDim};
 use cogent::tensor::reference::{contract_reference, random_inputs};
 
 #[test]
-fn interpreter_matches_executor_and_reference_on_all_48_entries() {
+fn interpreter_matches_reference_on_all_48_entries() {
     for (i, entry) in cogent::tccg::suite().into_iter().enumerate() {
         let tc = entry.contraction();
         // Small ragged extents: large enough for multi-tile grids, small
@@ -37,8 +36,6 @@ fn interpreter_matches_executor_and_reference_on_all_48_entries() {
         let (a, b) = random_inputs::<f64>(g.plan.contraction(), &plan_sizes, 29 + i as u64);
 
         let want = contract_reference(g.plan.contraction(), &plan_sizes, &a, &b);
-        let exec = try_execute_plan(&g.plan, &a, &b)
-            .unwrap_or_else(|e| panic!("{}: executor failed: {e}", entry.name));
         let interp = interpret_plan(&g.plan, &a, &b)
             .unwrap_or_else(|e| panic!("{}: interpreter failed: {e}", entry.name));
 
@@ -47,12 +44,6 @@ fn interpreter_matches_executor_and_reference_on_all_48_entries() {
             "{}: interpreter vs reference diff {:e}",
             entry.name,
             interp.max_abs_diff(&want)
-        );
-        assert!(
-            interp.approx_eq(&exec, 1e-11),
-            "{}: interpreter vs executor diff {:e}",
-            entry.name,
-            interp.max_abs_diff(&exec)
         );
         common::assert_golden_bits(&entry.name, "plan", &interp);
     }

@@ -26,7 +26,7 @@ fn all_48_entries_execute_correctly_via_cogent() {
             .generate(&tc, &sizes)
             .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
         let (a, b) = random_inputs::<f64>(&generated.contraction, &sizes, entry.id as u64);
-        let got = execute_plan(&generated.plan, &a, &b);
+        let got = interpret_plan(&generated.plan, &a, &b).unwrap();
         let want = contract_reference(&generated.contraction, &sizes, &a, &b);
         assert!(
             got.approx_eq(&want, 1e-10),

@@ -38,7 +38,7 @@ while IFS= read -r file; do
     budget=${budget:-0}
     if [[ "$count" -gt "$budget" ]]; then
         echo "unwrap gate: $file has $count unwrap/expect call(s) in non-test code (budget $budget)" >&2
-        echo "  prefer a typed error (PlanError / ExecError / CogentError); see crates/core/src/guard.rs" >&2
+        echo "  prefer a typed error (PlanError / CogentError); see crates/core/src/guard.rs" >&2
         fail=1
     fi
 done < <(find "${GATED_DIRS[@]}" -name '*.rs' | sort)
