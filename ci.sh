@@ -101,6 +101,12 @@ run cargo run --release $OFFLINE -p cogent-emit-gate --bin emit_gate
 # program must interpret to the reference contraction.
 run cargo run --release $OFFLINE --manifest-path cogent-benchmark/Cargo.toml -- \
     run --workload verify_passes48 --quick
+# Cold-generate smoke: the 48 TCCG entries at suite sizes. It exits 1 when
+# any emitted CUDA/OpenCL kernel misses its hash in
+# tests/golden/emit_hashes.txt, so a tracer change that flips a
+# refinement winner fails here.
+run cargo run --release $OFFLINE --manifest-path cogent-benchmark/Cargo.toml -- \
+    run --workload cold_tccg48 --quick
 run ./tools/unwrap_gate.sh
 run cargo clippy --workspace --all-targets $OFFLINE -- -D warnings
 run cargo fmt --all -- --check

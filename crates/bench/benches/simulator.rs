@@ -27,17 +27,25 @@ fn eq1_plan(n: usize) -> KernelPlan {
 
 fn bench_trace_and_simulate(c: &mut Criterion) {
     let plan = eq1_plan(48);
+    // 45 is divisible by none of the tiles: every dimension has a partial
+    // tail tile, so the bounds-clipping path is timed too.
+    let ragged = eq1_plan(45);
     let device = GpuDevice::v100();
-    c.bench_function("trace_sampled_48^6", |b| {
-        b.iter(|| {
-            trace_transactions(
-                black_box(&plan),
-                &device,
-                Precision::F64,
-                TraceOptions::default(),
-            )
-        })
-    });
+    for (name, plan) in [
+        ("trace_sampled_48^6", &plan),
+        ("trace_sampled_45^6_ragged", &ragged),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                trace_transactions(
+                    black_box(plan),
+                    &device,
+                    Precision::F64,
+                    TraceOptions::default(),
+                )
+            })
+        });
+    }
     c.bench_function("simulate_48^6", |b| {
         b.iter(|| simulate(black_box(&plan), &device, Precision::F64))
     });

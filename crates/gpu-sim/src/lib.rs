@@ -5,9 +5,10 @@
 //! exact mapping/tiling structure a generated kernel embodies (Algorithm 1
 //! of the paper) — and
 //!
-//! * **traces its DRAM traffic** ([`trace`]): enumerates the global-memory
-//!   addresses each warp touches and counts aligned 128-byte transactions,
-//!   the quantity the paper's cost model estimates analytically;
+//! * **traces its DRAM traffic** ([`trace`]): walks the global-memory
+//!   addresses each warp touches, as contiguous runs, and counts aligned
+//!   128-byte transactions, the quantity the paper's cost model estimates
+//!   analytically;
 //! * **predicts its wall-clock time** ([`metrics`]): occupancy + traced
 //!   traffic + FLOPs through the roofline model of `cogent-gpu-model`;
 //! * **corrupts it on purpose** ([`fault`]): the seeded fault injector
@@ -37,15 +38,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-mod access;
 pub mod fault;
 pub mod metrics;
 pub mod plan;
-pub mod smem;
 pub mod trace;
 
 pub use fault::{ExecFaults, FaultInjector, FaultKind};
 pub use metrics::{simulate, SimReport};
 pub use plan::{IndexBinding, KernelPlan, MapDim, PlanError, StoreMode};
-pub use smem::{analyze_bank_conflicts, BankConflictReport};
 pub use trace::{trace_transactions, TraceOptions, TraceReport};

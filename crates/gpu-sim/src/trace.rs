@@ -2,10 +2,26 @@
 //!
 //! The paper's cost model *estimates* the number of 128-byte DRAM
 //! transactions analytically (Algorithm 3). This module *measures* that
-//! quantity for a [`KernelPlan`] by enumerating the addresses every warp
+//! quantity for a [`KernelPlan`] by walking the addresses every warp
 //! touches — loads of the `A`/`B` tiles and stores of the output register
 //! tiles — and counting distinct aligned 128-byte segments per warp-wide
 //! access, exactly as the hardware coalescer does.
+//!
+//! Neither walk splits a lane's address into coordinates or sorts a
+//! warp's addresses per access:
+//!
+//! * **Tile loads** read a staged tile in tile-linear order, which is the
+//!   tensor's own storage order, so a warp's in-bounds addresses already
+//!   increase strictly. The tile is walked as rows along its stride-1
+//!   dimension (an odometer steps the others); where a row meets a warp
+//!   its in-bounds part is one contiguous interval, whose segments follow
+//!   from its two ends.
+//! * **Output stores**: every dimension of `C` takes its in-tile
+//!   coordinate from exactly one hardware dimension, so a lane's offset is
+//!   `X[tx] + Y[ty] + RX[rx] + RY[ry]` plus the block's grid offset, from
+//!   per-block tables with out-of-bounds entries marked. Each warp's
+//!   `(tx, ty)` pattern is sorted and merged into contiguous runs once;
+//!   every register slot shifts it by a constant, which keeps it sorted.
 //!
 //! Tracing every block of a large grid would be wasteful: interior blocks
 //! all behave identically. [`TraceOptions`] controls how many blocks and
@@ -13,8 +29,8 @@
 //! totals are extrapolated from the sample means.
 
 use cogent_gpu_model::{GpuDevice, Precision};
+use cogent_ir::TensorRef;
 
-use crate::access::TensorAccess;
 use crate::plan::{KernelPlan, MapDim};
 
 /// Sampling controls for the tracer.
@@ -98,25 +114,128 @@ fn sample_indices(n: usize, take: usize) -> Vec<usize> {
     (0..take).map(|i| i * n / take).collect()
 }
 
-/// Counts the aligned 128-byte segments touched by a warp given the byte
-/// addresses of its active lanes.
-fn segments(device: &GpuDevice, addrs: &mut Vec<usize>) -> usize {
-    if addrs.is_empty() {
-        return 0;
+/// One dimension of a tensor under a plan.
+#[derive(Debug, Clone)]
+struct DimSpec {
+    /// Index into `plan.bindings()`.
+    binding: usize,
+    extent: usize,
+    tile: usize,
+    /// Stride of this dimension in the tensor's global layout.
+    global_stride: usize,
+    /// The hardware dimension whose decomposition supplies the in-tile
+    /// coordinate, and this dimension's position in its group (0 =
+    /// fastest).
+    group: (MapDim, usize),
+}
+
+/// How one tensor is addressed under a plan: its dimensions in the
+/// tensor's own storage order (fastest first).
+struct TensorAccess {
+    dims: Vec<DimSpec>,
+    tile_elems: usize,
+}
+
+impl TensorAccess {
+    /// Panics when the plan does not bind one of `tensor`'s indices.
+    fn new(plan: &KernelPlan, tensor: &TensorRef) -> Self {
+        let mut dims = Vec::with_capacity(tensor.rank());
+        let mut global_stride = 1usize;
+        let mut tile_elems = 1usize;
+        for idx in tensor.indices() {
+            let (b_pos, binding) = plan
+                .bindings()
+                .iter()
+                .enumerate()
+                .find(|(_, b)| &b.name == idx)
+                .unwrap_or_else(|| panic!("plan has no binding for index {idx}"));
+            let group_pos = plan
+                .group_bindings(binding.dim)
+                .take_while(|b| b.name != binding.name)
+                .count();
+            dims.push(DimSpec {
+                binding: b_pos,
+                extent: binding.extent,
+                tile: binding.tile,
+                global_stride,
+                group: (binding.dim, group_pos),
+            });
+            global_stride *= binding.extent;
+            tile_elems *= binding.tile;
+        }
+        Self { dims, tile_elems }
     }
-    let tb = device.transaction_bytes;
-    addrs.sort_unstable();
-    let mut count = 1;
-    let mut current = addrs[0] / tb;
-    for &a in addrs.iter().skip(1) {
-        let seg = a / tb;
-        if seg != current {
-            count += 1;
-            current = seg;
+}
+
+/// The warp geometry of one traced launch.
+struct WarpShape {
+    threads: usize,
+    warp: usize,
+    elem_bytes: usize,
+    segment_bytes: usize,
+}
+
+/// Aligned segments touched by one warp access whose in-bounds byte
+/// addresses arrive in increasing order, as intervals `[first, last]`.
+/// Divides only when an interval opens a new segment.
+#[derive(Default)]
+struct Segments {
+    count: usize,
+    /// Index of the first segment past those counted.
+    next: usize,
+}
+
+impl Segments {
+    fn add(&mut self, first: usize, last: usize, segment_bytes: usize) {
+        let end = self.next * segment_bytes;
+        if last < end {
+            return;
+        }
+        let from = if first < end {
+            self.next
+        } else {
+            first / segment_bytes
+        };
+        self.next = last / segment_bytes + 1;
+        self.count += self.next - from;
+    }
+}
+
+/// A mixed-radix walk over the in-tile coordinates of some dimensions
+/// (radix = tile, first dimension fastest) that keeps the element offset
+/// and the number of out-of-bounds coordinates up to date as it steps.
+#[derive(Default)]
+struct Odometer {
+    coords: Vec<usize>,
+    offset: usize,
+    out_of_bounds: usize,
+}
+
+impl Odometer {
+    /// Rewinds to in-tile coordinate 0 everywhere. A block's or step's
+    /// base is always inside the extent, so every coordinate starts in
+    /// bounds.
+    fn reset(&mut self, dims: &[DimSpec], base: &[usize]) {
+        self.coords.clear();
+        self.coords.resize(dims.len(), 0);
+        self.offset = dims.iter().map(|d| base[d.binding] * d.global_stride).sum();
+        self.out_of_bounds = 0;
+    }
+
+    fn advance(&mut self, dims: &[DimSpec], base: &[usize]) {
+        for (d, c) in dims.iter().zip(&mut self.coords) {
+            let limit = d.extent - base[d.binding];
+            *c += 1;
+            self.offset += d.global_stride;
+            if *c < d.tile {
+                self.out_of_bounds += usize::from(*c == limit);
+                return;
+            }
+            *c = 0;
+            self.offset -= d.tile * d.global_stride;
+            self.out_of_bounds -= usize::from(limit < d.tile);
         }
     }
-    addrs.clear();
-    count
 }
 
 /// Traces the DRAM transactions of `plan` on `device` at the given
@@ -150,7 +269,13 @@ pub fn trace_transactions(
     let tc = plan.contraction();
     let acc_a = TensorAccess::new(plan, tc.a());
     let acc_b = TensorAccess::new(plan, tc.b());
-    let acc_c = TensorAccess::new(plan, tc.c());
+    let mut store = StoreTracer::new(&TensorAccess::new(plan, tc.c()));
+    let shape = WarpShape {
+        threads: plan.threads_per_block(),
+        warp: device.warp_size,
+        elem_bytes: precision.bytes(),
+        segment_bytes: device.transaction_bytes,
+    };
 
     let num_blocks = plan.num_blocks();
     let steps = plan.steps();
@@ -158,6 +283,7 @@ pub fn trace_transactions(
     let step_samples = sample_indices(steps, options.max_step_samples);
 
     let mut base = vec![0usize; plan.bindings().len()];
+    let mut rows = Odometer::default();
     let mut load_a_sum = 0u128;
     let mut load_b_sum = 0u128;
     let mut store_c_sum = 0u128;
@@ -167,10 +293,10 @@ pub fn trace_transactions(
         plan.block_base_offsets(block, &mut base);
         for &step in &step_samples {
             plan.step_base_offsets(step, &mut base);
-            load_a_sum += trace_tile_load(plan, device, precision, &acc_a, &base, &mut guards);
-            load_b_sum += trace_tile_load(plan, device, precision, &acc_b, &base, &mut guards);
+            load_a_sum += trace_tile_load(&shape, &acc_a, &base, &mut rows, &mut guards);
+            load_b_sum += trace_tile_load(&shape, &acc_b, &base, &mut rows, &mut guards);
         }
-        store_c_sum += trace_store(plan, device, precision, &acc_c, &base, &mut guards);
+        store_c_sum += store.trace(&shape, &base, &mut guards);
     }
 
     // Sample-scope statistics (no extrapolation): how much the bounds
@@ -201,111 +327,156 @@ pub fn trace_transactions(
 /// cooperatively read `tile_elems` elements in tile-linear order, one
 /// element per thread per round (the emitted kernel's cooperative-load
 /// loop).
+///
+/// The tile is walked once, row by row along its stride-1 dimension, with
+/// `rows` stepping the other dimensions. Each piece of a row inside one
+/// warp is a contiguous run of addresses, clipped to the row's in-bounds
+/// prefix.
 fn trace_tile_load(
-    plan: &KernelPlan,
-    device: &GpuDevice,
-    precision: Precision,
+    shape: &WarpShape,
     acc: &TensorAccess,
     base: &[usize],
+    rows: &mut Odometer,
     guards: &mut GuardCounters,
 ) -> u128 {
-    let threads = plan.threads_per_block();
-    let warp = device.warp_size;
-    let elem_bytes = precision.bytes();
-    let tile_elems = acc.tile_elems;
+    let Some((row_dim, outer)) = acc.dims.split_first() else {
+        return 0;
+    };
+    let row_len = row_dim.tile;
+    let row_base = base[row_dim.binding];
+    let row_valid = row_len.min(row_dim.extent - row_base);
+    let eb = shape.elem_bytes;
+    rows.reset(outer, base);
+    // Tile-linear index of the current row's first element.
+    let mut row_start = 0;
     let mut total = 0u128;
-    let mut addrs: Vec<usize> = Vec::with_capacity(warp);
 
-    let rounds = tile_elems.div_ceil(threads);
-    for r in 0..rounds {
-        let round_base = r * threads;
-        let active = threads.min(tile_elems - round_base);
-        for warp_start in (0..active).step_by(warp) {
-            let lanes = warp.min(active - warp_start);
-            for lane in 0..lanes {
-                let e = round_base + warp_start + lane;
-                // Decompose tile-linear e into per-dim in-tile coords.
-                let mut rem = e;
-                let mut off = 0usize;
-                let mut in_bounds = true;
-                for d in &acc.dims {
-                    let c = rem % d.tile;
-                    rem /= d.tile;
-                    let g = base[d.binding] + c;
-                    if g >= d.extent {
-                        in_bounds = false;
-                        break;
-                    }
-                    off += g * d.global_stride;
+    for round_base in (0..acc.tile_elems).step_by(shape.threads) {
+        let round_end = acc.tile_elems.min(round_base + shape.threads);
+        for warp_start in (round_base..round_end).step_by(shape.warp) {
+            let warp_end = round_end.min(warp_start + shape.warp);
+            let mut segments = Segments::default();
+            let mut active = 0;
+            let mut e = warp_start;
+            while e < warp_end {
+                // This warp covers row positions `lo..hi` of the current row.
+                let lo = e - row_start;
+                let hi = row_len.min(warp_end - row_start);
+                let valid_hi = hi.min(row_valid);
+                if rows.out_of_bounds == 0 && lo < valid_hi {
+                    let first = rows.offset + row_base + lo;
+                    let last = first + valid_hi - lo - 1;
+                    segments.add(first * eb, last * eb, shape.segment_bytes);
+                    active += valid_hi - lo;
                 }
-                if in_bounds {
-                    addrs.push(off * elem_bytes);
+                e = row_start + hi;
+                if hi == row_len {
+                    row_start += row_len;
+                    rows.advance(outer, base);
                 }
             }
-            guards.record(lanes, addrs.len());
-            total += segments(device, &mut addrs) as u128;
+            guards.record(warp_end - warp_start, active);
+            total += segments.count as u128;
         }
     }
     total
 }
 
-/// Transactions for the output store: one warp-wide store per register
-/// slot `(rx, ry)` per warp.
-fn trace_store(
-    plan: &KernelPlan,
-    device: &GpuDevice,
-    precision: Precision,
-    acc_c: &TensorAccess,
-    base: &[usize],
-    guards: &mut GuardCounters,
-) -> u128 {
-    let tbx = plan.group_size(MapDim::ThreadX);
-    let tby = plan.group_size(MapDim::ThreadY);
-    let regx = plan.group_size(MapDim::RegX);
-    let regy = plan.group_size(MapDim::RegY);
-    let threads = tbx * tby;
-    let warp = device.warp_size;
-    let elem_bytes = precision.bytes();
-    let mut total = 0u128;
-    let mut addrs: Vec<usize> = Vec::with_capacity(warp);
-    let tables = crate::access::output_coord_tables(plan, acc_c);
+/// The hardware dimensions that can supply an output coordinate.
+const STORE_DIMS: [MapDim; 5] = [
+    MapDim::ThreadX,
+    MapDim::ThreadY,
+    MapDim::RegX,
+    MapDim::RegY,
+    MapDim::Grid,
+];
 
-    for ry in 0..regy {
-        for rx in 0..regx {
-            for warp_start in (0..threads).step_by(warp) {
-                let lanes = warp.min(threads - warp_start);
-                for lane in 0..lanes {
-                    let t = warp_start + lane;
-                    let (tx, ty) = (t % tbx, t / tbx);
-                    let mut off = 0usize;
-                    let mut in_bounds = true;
-                    for (d, table) in acc_c.dims.iter().zip(&tables) {
-                        let crate::access::CoordSource::Group(dim, _) = d.source;
-                        let lin = match dim {
-                            MapDim::ThreadX => tx,
-                            MapDim::ThreadY => ty,
-                            MapDim::RegX => rx,
-                            MapDim::RegY => ry,
-                            MapDim::Grid => 0,
-                            MapDim::SerialK => unreachable!("C has no internal index"),
-                        };
-                        let g = base[d.binding] + table[lin];
-                        if g >= d.extent {
-                            in_bounds = false;
-                            break;
-                        }
-                        off += g * d.global_stride;
-                    }
-                    if in_bounds {
-                        addrs.push(off * elem_bytes);
-                    }
-                }
-                guards.record(lanes, addrs.len());
-                total += segments(device, &mut addrs) as u128;
-            }
+/// Traces the output store from per-block offset tables, one per
+/// hardware dimension: `tables[h][lin]` is the part of a `C` element's
+/// byte offset contributed by the dimensions whose coordinate hardware
+/// dimension `h` supplies at linear position `lin`, or `None` when one of
+/// them falls outside its extent.
+struct StoreTracer {
+    /// `C`'s dimensions grouped by [`STORE_DIMS`], in group order.
+    groups: [Vec<DimSpec>; 5],
+    tables: [Vec<Option<usize>>; 5],
+    odometer: Odometer,
+    /// One warp's in-bounds `(tx, ty)` byte offsets, sorted and merged
+    /// into runs of adjacent elements `(first, last)`.
+    pattern: Vec<(usize, usize)>,
+}
+
+impl StoreTracer {
+    fn new(acc_c: &TensorAccess) -> Self {
+        let mut dims = acc_c.dims.clone();
+        dims.sort_by_key(|d| d.group.1);
+        let groups = STORE_DIMS.map(|h| dims.iter().filter(|d| d.group.0 == h).cloned().collect());
+        Self {
+            groups,
+            tables: Default::default(),
+            odometer: Odometer::default(),
+            pattern: Vec::new(),
         }
     }
-    total
+
+    /// Transactions for the output store of the block at `base`: one
+    /// warp-wide store per register slot `(rx, ry)` per warp.
+    fn trace(&mut self, shape: &WarpShape, base: &[usize], guards: &mut GuardCounters) -> u128 {
+        let eb = shape.elem_bytes;
+        for (dims, table) in self.groups.iter().zip(&mut self.tables) {
+            let size: usize = dims.iter().map(|d| d.tile).product();
+            table.clear();
+            self.odometer.reset(dims, base);
+            for _ in 0..size {
+                let odo = &self.odometer;
+                table.push((odo.out_of_bounds == 0).then_some(odo.offset * eb));
+                self.odometer.advance(dims, base);
+            }
+        }
+        let [tx_table, ty_table, rx_table, ry_table, grid] = &self.tables;
+        let tbx = tx_table.len();
+        let (mut tx, mut ty) = (0, 0);
+        let mut total = 0u128;
+        for warp_start in (0..shape.threads).step_by(shape.warp) {
+            let lanes = shape.warp.min(shape.threads - warp_start);
+            self.pattern.clear();
+            for _ in 0..lanes {
+                if let (Some(x), Some(y)) = (tx_table[tx], ty_table[ty]) {
+                    self.pattern.push((x + y, x + y));
+                }
+                tx += 1;
+                if tx == tbx {
+                    tx = 0;
+                    ty += 1;
+                }
+            }
+            let active = self.pattern.len();
+            self.pattern.sort_unstable();
+            self.pattern.dedup_by(|next, run| {
+                let adjacent = next.0 == run.1 + eb;
+                if adjacent {
+                    run.1 = next.1;
+                }
+                adjacent
+            });
+            for ry in ry_table {
+                for rx in rx_table {
+                    let (Some(g), Some(x), Some(y)) = (grid[0], rx, ry) else {
+                        guards.record(lanes, 0);
+                        continue;
+                    };
+                    guards.record(lanes, active);
+                    let slot = g + x + y;
+                    let mut segments = Segments::default();
+                    for &(first, last) in &self.pattern {
+                        segments.add(first + slot, last + slot, shape.segment_bytes);
+                    }
+                    total += segments.count as u128;
+                }
+            }
+        }
+        total
+    }
 }
 
 #[cfg(test)]

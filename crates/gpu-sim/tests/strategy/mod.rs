@@ -1,6 +1,6 @@
 //! The random-but-legal kernel plans shared by the plan property tests
-//! (`cogent-gpu-sim`'s structure invariants and `cogent-kir`'s
-//! interpreter-vs-reference check).
+//! (`cogent-gpu-sim`'s structure invariants and tracer-vs-brute-force
+//! check, and `cogent-kir`'s interpreter-vs-reference check).
 
 use cogent_gpu_sim::plan::{IndexBinding, KernelPlan, MapDim};
 use cogent_ir::{Contraction, TensorRef};
