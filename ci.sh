@@ -107,6 +107,9 @@ run cargo run --release $OFFLINE --manifest-path cogent-benchmark/Cargo.toml -- 
 # refinement winner fails here.
 run cargo run --release $OFFLINE --manifest-path cogent-benchmark/Cargo.toml -- \
     run --workload cold_tccg48 --quick
+# The benchmark harness's own unit tests (a package of its own, outside
+# the workspace).
+run cargo test -q --manifest-path cogent-benchmark/Cargo.toml $OFFLINE
 run ./tools/unwrap_gate.sh
 run cargo clippy --workspace --all-targets $OFFLINE -- -D warnings
 run cargo fmt --all -- --check

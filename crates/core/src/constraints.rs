@@ -9,10 +9,10 @@
 //! collapse.
 
 use cogent_gpu_model::{occupancy, BlockResources, GpuDevice, Precision};
-use cogent_ir::{Contraction, ContractionAnalysis, IndexClass, SizeMap};
+use cogent_ir::{Contraction, SizeMap};
 
 use crate::config::KernelConfig;
-use crate::cost::{num_thread_blocks, num_thread_blocks_fast};
+use crate::cost::num_thread_blocks;
 use crate::intern::{ConfigDims, SearchTables};
 
 /// Why a configuration was pruned.
@@ -163,85 +163,22 @@ pub fn check_config(
     precision: Precision,
     rules: &PruneRules,
 ) -> Result<(), PruneReason> {
-    let threads = cfg.threads_per_block();
-    if threads > device.max_threads_per_block || threads < rules.min_threads {
-        return Err(PruneReason::BadThreadCount);
-    }
-
-    let smem_bytes = cfg.smem_elements() * precision.bytes();
-    if smem_bytes > device.smem_per_block_bytes {
-        return Err(PruneReason::SharedMemoryExceeded);
-    }
-
-    let rx = cfg.regx_size();
-    let ry = cfg.regy_size();
-    let words = precision.bytes().div_ceil(4);
-    let regs = (rx * ry + rx + ry) * words + 24;
-    if regs > device.max_registers_per_thread {
-        return Err(PruneReason::TooManyRegisters);
-    }
-
-    if rules.require_input_fvi_coalescing {
-        check_fvi_coalescing(tc, cfg, sizes, rules)?;
-    }
-
-    let blocks = num_thread_blocks(tc, cfg, sizes);
-    let min_blocks = (device.sm_count as f64 * rules.min_blocks_per_sm).ceil() as u128;
-    if blocks < min_blocks {
-        return Err(PruneReason::TooFewBlocks);
-    }
-
-    let occ = occupancy(
-        device,
-        BlockResources {
-            threads,
-            smem_bytes,
-            registers_per_thread: regs,
-        },
-    );
-    // A launch that cannot place even one block is infeasible no matter
-    // how lax the thresholds are.
-    if occ.blocks_per_sm == 0 {
-        return Err(PruneReason::LowOccupancy);
-    }
-    if occ.fraction < rules.min_occupancy {
-        return Err(PruneReason::LowOccupancy);
-    }
-
-    Ok(())
+    let (tables, dims, tiles) = SearchTables::intern_config(tc, cfg, sizes);
+    check_interned(&tables, dims, &tiles, device, precision, rules)
 }
 
+/// The §IV-A rules over interned search state, in order: thread-count
+/// bounds, shared memory, registers, input-FVI coalescing, grid size,
+/// occupancy. Reads the candidate's list-size products ([`ConfigDims`])
+/// and its flat tile row (tile per index id, 1 when grid-mapped).
+///
 /// §IV-A2: "while choosing indices mapped to TBx or TBy, we always include
 /// the FVI of the input tensor". Staging loads are cooperative over the
 /// whole tile, so the contiguous run length in global memory is governed
 /// by the *tile size* of each input's FVI, whichever dimension it is
 /// mapped to (thread, register or serial): that tile must reach
 /// `min_fvi_tile` (or the full extent).
-fn check_fvi_coalescing(
-    tc: &Contraction,
-    cfg: &KernelConfig,
-    sizes: &SizeMap,
-    rules: &PruneRules,
-) -> Result<(), PruneReason> {
-    let analysis = ContractionAnalysis::new(tc);
-    for tensor in [tc.a(), tc.b()] {
-        let fvi = tensor.fvi();
-        let _class = analysis.classify(fvi).expect("fvi belongs to contraction");
-        let need = rules.min_fvi_tile.min(sizes.extent_of(fvi));
-        if cfg.tile_of(fvi) < need {
-            return Err(PruneReason::UncoalescedInputFvi);
-        }
-    }
-    let _ = IndexClass::Internal;
-    Ok(())
-}
-
-/// [`check_config`] over interned search state: same rules, same order,
-/// same thresholds — but reading precomputed list-size products
-/// ([`ConfigDims`]) and one flat tile row instead of walking owned
-/// `(IndexName, tile)` lists per rule. The `*_fast_matches_public_path`
-/// parity test pins the two byte-for-byte over whole enumerations.
-pub(crate) fn check_config_fast(
+pub(crate) fn check_interned(
     tables: &SearchTables,
     dims: ConfigDims,
     tiles: &[usize],
@@ -275,7 +212,7 @@ pub(crate) fn check_config_fast(
         }
     }
 
-    let blocks = num_thread_blocks_fast(tables, tiles);
+    let blocks = num_thread_blocks(tables, tiles);
     let min_blocks = (device.sm_count as f64 * rules.min_blocks_per_sm).ceil() as u128;
     if blocks < min_blocks {
         return Err(PruneReason::TooFewBlocks);
@@ -289,6 +226,8 @@ pub(crate) fn check_config_fast(
             registers_per_thread: regs,
         },
     );
+    // A launch that cannot place even one block is infeasible no matter
+    // how lax the thresholds are.
     if occ.blocks_per_sm == 0 {
         return Err(PruneReason::LowOccupancy);
     }
@@ -520,63 +459,6 @@ mod tests {
     fn all_and_index_are_inverse() {
         for (i, r) in PruneReason::ALL.iter().enumerate() {
             assert_eq!(r.index(), i);
-        }
-    }
-
-    #[test]
-    fn check_config_fast_matches_public_path() {
-        use crate::enumerate::{enumerate_interned, EnumerationBudget, EnumerationOptions};
-
-        let rule_sets = [
-            PruneRules::default(),
-            // The relaxation ladder the search walks.
-            PruneRules {
-                min_blocks_per_sm: 0.0,
-                min_occupancy: 0.0,
-                min_threads: 1,
-                ..PruneRules::default()
-            },
-            PruneRules {
-                min_blocks_per_sm: 0.0,
-                min_occupancy: 0.0,
-                min_threads: 1,
-                require_input_fvi_coalescing: false,
-                ..PruneRules::default()
-            },
-        ];
-        let device = GpuDevice::v100();
-        for (spec, n) in [
-            ("abcd-aebf-dfce", 24),
-            ("ij-ik-kj", 1024),
-            ("abc-bda-dc", 16),
-            ("i-ik-k", 256),
-            ("abcd-aebf-fdce", 64),
-        ] {
-            let tc: Contraction = spec.parse().unwrap();
-            let norm = tc.normalized();
-            let sizes = SizeMap::uniform(&norm, n);
-            let en = enumerate_interned(
-                &norm,
-                &sizes,
-                &EnumerationOptions::default(),
-                &EnumerationBudget::unlimited(),
-            );
-            for rules in &rule_sets {
-                for i in 0..en.arena.len() {
-                    let choice = en.arena.choice(i);
-                    let cfg = en.menus.materialize(choice);
-                    let slow = check_config(&norm, &cfg, &sizes, &device, Precision::F64, rules);
-                    let fast = check_config_fast(
-                        &en.tables,
-                        en.compiled.dims(choice),
-                        en.arena.tiles(i),
-                        &device,
-                        Precision::F64,
-                        rules,
-                    );
-                    assert_eq!(slow, fast, "{spec} {cfg}");
-                }
-            }
         }
     }
 }

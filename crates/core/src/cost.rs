@@ -15,7 +15,7 @@
 //!   measures), which is what ranking uses.
 
 use cogent_gpu_model::{GpuDevice, Precision};
-use cogent_ir::{Contraction, SizeMap, TensorRef};
+use cogent_ir::{Contraction, SizeMap};
 
 use crate::config::KernelConfig;
 use crate::intern::{ConfigDims, SearchTables};
@@ -36,105 +36,6 @@ impl CostBreakdown {
     pub fn total(&self) -> u128 {
         self.load_a + self.load_b + self.store_c
     }
-}
-
-/// `cal_Cont`: contiguous elements at the start of the staged
-/// hyper-rectangle of `tensor` — the product of tile sizes of the leading
-/// dimensions whose tiles cover the full extent, times the first partial
-/// tile.
-fn contiguous_elements(tensor: &TensorRef, cfg: &KernelConfig, sizes: &SizeMap) -> usize {
-    let mut cont = 1usize;
-    for idx in tensor.indices() {
-        let extent = sizes.extent_of(idx);
-        let tile = cfg.tile_of(idx).min(extent);
-        cont *= tile;
-        if tile < extent {
-            break;
-        }
-    }
-    cont
-}
-
-/// Number of thread blocks for the configuration (`cal_Num_TBs`).
-pub fn num_thread_blocks(tc: &Contraction, cfg: &KernelConfig, sizes: &SizeMap) -> u128 {
-    tc.output_indices()
-        .map(|i| {
-            let n = sizes.extent_of(i);
-            n.div_ceil(cfg.tile_of(i).min(n)) as u128
-        })
-        .product()
-}
-
-/// Number of serial steps per block (`cal_Steps`).
-pub fn num_steps(tc: &Contraction, cfg: &KernelConfig, sizes: &SizeMap) -> u128 {
-    tc.internal_indices()
-        .iter()
-        .map(|i| {
-            let n = sizes.extent_of(i);
-            n.div_ceil(cfg.tile_of(i).min(n)) as u128
-        })
-        .product::<u128>()
-        .max(1)
-}
-
-/// Transactions per "row" of `row_len` threads reading elements whose
-/// contiguous runs hold `cont` elements, in hardware 128-byte units.
-fn row_transactions_hw(
-    device: &GpuDevice,
-    precision: Precision,
-    row_len: usize,
-    cont: usize,
-) -> u128 {
-    if row_len == 0 {
-        return 0;
-    }
-    let run = cont.min(row_len).max(1);
-    let runs = row_len.div_ceil(run) as u128;
-    let bytes_per_run = run * precision.bytes();
-    runs * bytes_per_run.div_ceil(device.transaction_bytes) as u128
-}
-
-/// Literal Algorithm 3: transactions counted as coalesced row segments
-/// (`numTransTx = size_TBx / min(size_Cont, size_TBx)`).
-fn row_transactions_paper(row_len: usize, cont: usize) -> u128 {
-    if row_len == 0 {
-        return 0;
-    }
-    let run = cont.min(row_len).max(1);
-    row_len.div_ceil(run) as u128
-}
-
-fn input_cost(
-    tensor: &TensorRef,
-    tc: &Contraction,
-    cfg: &KernelConfig,
-    sizes: &SizeMap,
-    row_len: usize,
-    reg_mult: usize,
-    per_row: impl Fn(usize, usize) -> u128,
-) -> u128 {
-    let cont = contiguous_elements(tensor, cfg, sizes);
-    let rows = cfg.tbk_size().max(1) as u128;
-    let per_step = per_row(row_len, cont)
-        .saturating_mul(rows)
-        .saturating_mul(reg_mult as u128);
-    per_step
-        .saturating_mul(num_steps(tc, cfg, sizes))
-        .saturating_mul(num_thread_blocks(tc, cfg, sizes))
-}
-
-fn output_cost(
-    tc: &Contraction,
-    cfg: &KernelConfig,
-    sizes: &SizeMap,
-    per_row: impl Fn(usize, usize) -> u128,
-) -> u128 {
-    let cont = contiguous_elements(tc.c(), cfg, sizes);
-    let rows = cfg.tby_size().max(1) as u128;
-    let per_block = per_row(cfg.tbx_size(), cont)
-        .saturating_mul(rows)
-        .saturating_mul((cfg.regx_size() * cfg.regy_size()) as u128);
-    per_block.saturating_mul(num_thread_blocks(tc, cfg, sizes))
 }
 
 /// Estimates the launch-total DRAM transactions of `cfg` in hardware
@@ -171,36 +72,76 @@ pub fn transaction_cost(
     device: &GpuDevice,
     precision: Precision,
 ) -> CostBreakdown {
-    // Every model evaluation is counted on the enclosing trace span, so
-    // model-vs-trace discrepancies are attributable per generate request.
+    let (tables, dims, tiles) = SearchTables::intern_config(tc, cfg, sizes);
+    transaction_cost_interned(&tables, dims, &tiles, device, precision)
+}
+
+/// The literal Algorithm 3 count (unit: coalesced row segments), kept for
+/// fidelity tests and comparison against [`transaction_cost`].
+pub fn paper_transaction_cost(
+    tc: &Contraction,
+    cfg: &KernelConfig,
+    sizes: &SizeMap,
+) -> CostBreakdown {
+    let (tables, dims, tiles) = SearchTables::intern_config(tc, cfg, sizes);
+    algorithm3(&tables, dims, &tiles, row_transactions_paper)
+}
+
+/// [`transaction_cost`] over interned search state: what the search ranks
+/// by. Every model evaluation is counted on the enclosing trace span, so
+/// model-vs-trace discrepancies are attributable per generate request.
+pub(crate) fn transaction_cost_interned(
+    tables: &SearchTables,
+    dims: ConfigDims,
+    tiles: &[usize],
+    device: &GpuDevice,
+    precision: Precision,
+) -> CostBreakdown {
     cogent_obs::counter("cost.model_evaluations", 1);
-    let hw = |row: usize, cont: usize| row_transactions_hw(device, precision, row, cont);
+    algorithm3(tables, dims, tiles, |row_len, cont| {
+        row_transactions_hw(device, precision, row_len, cont)
+    })
+}
+
+/// Algorithm 3 over a candidate's list-size products ([`ConfigDims`]) and
+/// flat tile row, with `per_row(row_len, cont)` counting the transactions
+/// of one row of threads. Inputs: per-row count × `TBk` rows × the
+/// register multiplier × steps × blocks; the output: per-row count × `TBy`
+/// rows × the register tile × blocks (saturating, in that order).
+fn algorithm3(
+    tables: &SearchTables,
+    dims: ConfigDims,
+    tiles: &[usize],
+    per_row: impl Fn(usize, usize) -> u128,
+) -> CostBreakdown {
+    let steps = num_steps(tables, tiles);
+    let blocks = num_thread_blocks(tables, tiles);
+    let rows_k = dims.tbk.max(1) as u128;
+    let input = |ids: &[u32], row_len: usize, reg_mult: usize| {
+        let cont = contiguous_elements(ids, tables, tiles);
+        per_row(row_len, cont)
+            .saturating_mul(rows_k)
+            .saturating_mul(reg_mult as u128)
+            .saturating_mul(steps)
+            .saturating_mul(blocks)
+    };
+    let cont_c = contiguous_elements(&tables.c_ids, tables, tiles);
+    let store_c = per_row(dims.tbx, cont_c)
+        .saturating_mul(dims.tby.max(1) as u128)
+        .saturating_mul((dims.regx * dims.regy) as u128)
+        .saturating_mul(blocks);
     CostBreakdown {
-        load_a: input_cost(
-            tc.a(),
-            tc,
-            cfg,
-            sizes,
-            cfg.tbx_size(),
-            cfg.regx_size().max(1),
-            hw,
-        ),
-        load_b: input_cost(
-            tc.b(),
-            tc,
-            cfg,
-            sizes,
-            cfg.tby_size(),
-            cfg.regy_size().max(1),
-            hw,
-        ),
-        store_c: output_cost(tc, cfg, sizes, hw),
+        load_a: input(&tables.a_ids, dims.tbx, dims.regx.max(1)),
+        load_b: input(&tables.b_ids, dims.tby, dims.regy.max(1)),
+        store_c,
     }
 }
 
-/// `cal_Cont` over interned ids: the contiguous-element walk of
-/// [`contiguous_elements`] reading the flat tile row.
-fn contiguous_fast(ids: &[u32], tables: &SearchTables, tiles: &[usize]) -> usize {
+/// `cal_Cont`: contiguous elements at the start of the staged
+/// hyper-rectangle of the tensor whose indices are `ids` — the product of
+/// tile sizes of the leading dimensions whose tiles cover the full extent,
+/// times the first partial tile.
+fn contiguous_elements(ids: &[u32], tables: &SearchTables, tiles: &[usize]) -> usize {
     let mut cont = 1usize;
     for &id in ids {
         let extent = tables.extent(id);
@@ -213,8 +154,8 @@ fn contiguous_fast(ids: &[u32], tables: &SearchTables, tiles: &[usize]) -> usize
     cont
 }
 
-/// `cal_Num_TBs` over interned ids (see [`num_thread_blocks`]).
-pub(crate) fn num_thread_blocks_fast(tables: &SearchTables, tiles: &[usize]) -> u128 {
+/// Number of thread blocks for the configuration (`cal_Num_TBs`).
+pub(crate) fn num_thread_blocks(tables: &SearchTables, tiles: &[usize]) -> u128 {
     tables
         .out_ids
         .iter()
@@ -225,8 +166,8 @@ pub(crate) fn num_thread_blocks_fast(tables: &SearchTables, tiles: &[usize]) -> 
         .product()
 }
 
-/// `cal_Steps` over interned ids (see [`num_steps`]).
-fn num_steps_fast(tables: &SearchTables, tiles: &[usize]) -> u128 {
+/// Number of serial steps per block (`cal_Steps`).
+fn num_steps(tables: &SearchTables, tiles: &[usize]) -> u128 {
     tables
         .int_ids
         .iter()
@@ -238,70 +179,31 @@ fn num_steps_fast(tables: &SearchTables, tiles: &[usize]) -> u128 {
         .max(1)
 }
 
-/// [`transaction_cost`] over interned search state — identical arithmetic
-/// (down to `saturating_mul` association order) reading the precomputed
-/// dims and tile row instead of re-walking `(IndexName, tile)` lists. The
-/// `*_fast_matches_public_path` parity test pins the two byte-for-byte.
-pub(crate) fn transaction_cost_fast(
-    tables: &SearchTables,
-    dims: ConfigDims,
-    tiles: &[usize],
+/// Transactions per "row" of `row_len` threads reading elements whose
+/// contiguous runs hold `cont` elements, in hardware 128-byte units.
+fn row_transactions_hw(
     device: &GpuDevice,
     precision: Precision,
-) -> CostBreakdown {
-    cogent_obs::counter("cost.model_evaluations", 1);
-    let steps = num_steps_fast(tables, tiles);
-    let blocks = num_thread_blocks_fast(tables, tiles);
-    let rows_k = dims.tbk.max(1) as u128;
-    let input = |ids: &[u32], row_len: usize, reg_mult: usize| {
-        let cont = contiguous_fast(ids, tables, tiles);
-        row_transactions_hw(device, precision, row_len, cont)
-            .saturating_mul(rows_k)
-            .saturating_mul(reg_mult as u128)
-            .saturating_mul(steps)
-            .saturating_mul(blocks)
-    };
-    let cont_c = contiguous_fast(&tables.c_ids, tables, tiles);
-    let store_c = row_transactions_hw(device, precision, dims.tbx, cont_c)
-        .saturating_mul(dims.tby.max(1) as u128)
-        .saturating_mul((dims.regx * dims.regy) as u128)
-        .saturating_mul(blocks);
-    CostBreakdown {
-        load_a: input(&tables.a_ids, dims.tbx, dims.regx.max(1)),
-        load_b: input(&tables.b_ids, dims.tby, dims.regy.max(1)),
-        store_c,
+    row_len: usize,
+    cont: usize,
+) -> u128 {
+    if row_len == 0 {
+        return 0;
     }
+    let run = cont.min(row_len).max(1);
+    let runs = row_len.div_ceil(run) as u128;
+    let bytes_per_run = run * precision.bytes();
+    runs * bytes_per_run.div_ceil(device.transaction_bytes) as u128
 }
 
-/// The literal Algorithm 3 count (unit: coalesced row segments), kept for
-/// fidelity tests and comparison against [`transaction_cost`].
-pub fn paper_transaction_cost(
-    tc: &Contraction,
-    cfg: &KernelConfig,
-    sizes: &SizeMap,
-) -> CostBreakdown {
-    let paper = row_transactions_paper;
-    CostBreakdown {
-        load_a: input_cost(
-            tc.a(),
-            tc,
-            cfg,
-            sizes,
-            cfg.tbx_size(),
-            cfg.regx_size().max(1),
-            paper,
-        ),
-        load_b: input_cost(
-            tc.b(),
-            tc,
-            cfg,
-            sizes,
-            cfg.tby_size(),
-            cfg.regy_size().max(1),
-            paper,
-        ),
-        store_c: output_cost(tc, cfg, sizes, paper),
+/// Literal Algorithm 3: transactions counted as coalesced row segments
+/// (`numTransTx = size_TBx / min(size_Cont, size_TBx)`).
+fn row_transactions_paper(row_len: usize, cont: usize) -> u128 {
+    if row_len == 0 {
+        return 0;
     }
+    let run = cont.min(row_len).max(1);
+    row_len.div_ceil(run) as u128
 }
 
 #[cfg(test)]
@@ -327,21 +229,23 @@ mod tests {
     #[test]
     fn contiguous_elements_walks_leading_full_tiles() {
         let (tc, sizes) = matmul();
-        // A[i,k]: tile i = 256 (full), tile k = 8 → cont = 256*8? No: i is
-        // full extent so continue, k partial → 256*8.
-        let c = cfg(256, 16, 8);
-        assert_eq!(contiguous_elements(tc.a(), &c, &sizes), 256 * 8);
+        let cont_a = |c: &KernelConfig| {
+            let (tables, _, tiles) = SearchTables::intern_config(&tc, c, &sizes);
+            contiguous_elements(&tables.a_ids, &tables, &tiles)
+        };
+        // A[i,k]: tile i = 256 is the full extent, so the walk continues
+        // into the partial k tile → 256 * 8.
+        assert_eq!(cont_a(&cfg(256, 16, 8)), 256 * 8);
         // tile i = 16 < 256 → cont = 16.
-        let c = cfg(16, 16, 8);
-        assert_eq!(contiguous_elements(tc.a(), &c, &sizes), 16);
+        assert_eq!(cont_a(&cfg(16, 16, 8)), 16);
     }
 
     #[test]
     fn blocks_and_steps() {
         let (tc, sizes) = matmul();
-        let c = cfg(16, 16, 8);
-        assert_eq!(num_thread_blocks(&tc, &c, &sizes), 16 * 16);
-        assert_eq!(num_steps(&tc, &c, &sizes), 32);
+        let (tables, _, tiles) = SearchTables::intern_config(&tc, &cfg(16, 16, 8), &sizes);
+        assert_eq!(num_thread_blocks(&tables, &tiles), 16 * 16);
+        assert_eq!(num_steps(&tables, &tiles), 32);
     }
 
     #[test]
@@ -421,41 +325,47 @@ mod tests {
     }
 
     #[test]
-    fn transaction_cost_fast_matches_public_path() {
-        use crate::enumerate::{enumerate_interned, EnumerationBudget, EnumerationOptions};
+    fn model_cost_correlates_with_simulated_traffic() {
+        use crate::select::{search, SearchOptions};
 
+        // The cost model predicts DRAM transactions; the tracer measures
+        // them. Ranking by one should broadly agree with the other:
+        // check rank correlation is positive over the top candidates.
+        let tc: Contraction = "abcd-aebf-dfce".parse().unwrap();
+        let sizes = SizeMap::uniform(&tc, 32);
         let device = GpuDevice::v100();
-        for (spec, n) in [
-            ("abcd-aebf-dfce", 24),
-            ("ij-ik-kj", 1024),
-            ("abc-bda-dc", 16),
-            ("i-ik-k", 256),
-        ] {
-            let tc: Contraction = spec.parse().unwrap();
-            let norm = tc.normalized();
-            let sizes = SizeMap::uniform(&norm, n);
-            let en = enumerate_interned(
-                &norm,
-                &sizes,
-                &EnumerationOptions::default(),
-                &EnumerationBudget::unlimited(),
-            );
-            for precision in [Precision::F64, Precision::F32] {
-                for i in 0..en.arena.len() {
-                    let choice = en.arena.choice(i);
-                    let cfg = en.menus.materialize(choice);
-                    let slow = transaction_cost(&norm, &cfg, &sizes, &device, precision);
-                    let fast = transaction_cost_fast(
-                        &en.tables,
-                        en.compiled.dims(choice),
-                        en.arena.tiles(i),
-                        &device,
-                        precision,
-                    );
-                    assert_eq!(slow, fast, "{spec} {cfg}");
+        let outcome = search(
+            &tc,
+            &sizes,
+            &device,
+            Precision::F64,
+            &SearchOptions::default(),
+        );
+        let take = outcome.ranked.len().min(8);
+        let mut pairs: Vec<(u128, u128)> = Vec::new();
+        for r in outcome.ranked.iter().take(take) {
+            let plan = r.config.lower(&outcome.contraction, &sizes).unwrap();
+            let sim = cogent_gpu_sim::simulate(&plan, &device, Precision::F64);
+            pairs.push((r.cost.total(), sim.trace.total()));
+        }
+        // Count concordant vs discordant pairs (Kendall-style).
+        let mut concordant = 0i64;
+        let mut discordant = 0i64;
+        for i in 0..pairs.len() {
+            for j in i + 1..pairs.len() {
+                let dm = pairs[i].0.cmp(&pairs[j].0);
+                let ds = pairs[i].1.cmp(&pairs[j].1);
+                if dm == ds {
+                    concordant += 1;
+                } else if dm != std::cmp::Ordering::Equal && ds != std::cmp::Ordering::Equal {
+                    discordant += 1;
                 }
             }
         }
+        assert!(
+            concordant >= discordant,
+            "model and tracer disagree: {concordant} vs {discordant}"
+        );
     }
 
     #[test]

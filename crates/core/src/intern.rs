@@ -10,19 +10,19 @@
 //!   per-tensor id lists derived a single time instead of per candidate;
 //! * [`CompiledMenus`] — the enumeration's structured menus with ids,
 //!   tile products and an [`Ord`]-rank per list precomputed, so the
-//!   ranking tie-break never materializes a [`KernelConfig`](crate::config::KernelConfig);
+//!   ranking tie-break never materializes a [`KernelConfig`];
 //! * [`ConfigArena`] — every candidate as one flat tile row plus five
 //!   menu indices, in place of five heap-allocated lists of strings.
 //!
-//! The fast pruning/costing entry points
-//! ([`check_config_fast`](crate::constraints::check_config_fast),
-//! [`transaction_cost_fast`](crate::cost::transaction_cost_fast)) consume
-//! these and are pinned byte-for-byte against their public counterparts by
-//! the parity tests below.
+//! The §IV-A rules ([`constraints`](crate::constraints)) and Algorithm 3
+//! ([`cost`](crate::cost)) have one implementation each, over these
+//! tables. Their public single-config entry points intern the one
+//! configuration they are given (`SearchTables::intern_config`) and run
+//! the same bodies the search does.
 
 use cogent_ir::{Contraction, IndexName, SizeMap};
 
-use crate::config::MappedIndex;
+use crate::config::{KernelConfig, MappedIndex};
 
 /// Dense-id view of one normalized contraction under a size map, built
 /// once per search.
@@ -98,6 +98,27 @@ impl SearchTables {
             .position(|n| n.as_str() == name)
             .map(|p| p as u32)
     }
+
+    /// Interns one owned configuration against `tc` (normalized) under
+    /// `sizes`: the tables, the five list-size products, and the tile row
+    /// the search's arena would hold for it (1 where `cfg` leaves an index
+    /// grid-mapped).
+    pub(crate) fn intern_config(
+        tc: &Contraction,
+        cfg: &KernelConfig,
+        sizes: &SizeMap,
+    ) -> (Self, ConfigDims, Vec<usize>) {
+        let tables = Self::new(tc, sizes);
+        let dims = ConfigDims {
+            tbx: cfg.tbx_size(),
+            regx: cfg.regx_size(),
+            tby: cfg.tby_size(),
+            regy: cfg.regy_size(),
+            tbk: cfg.tbk_size(),
+        };
+        let tiles = tables.names.iter().map(|n| cfg.tile_of(n)).collect();
+        (tables, dims, tiles)
+    }
 }
 
 /// One enumeration menu entry with everything the hot loops need
@@ -111,7 +132,7 @@ pub(crate) struct CompiledList {
     pub product: usize,
     /// Position of this entry in the Ord-sorted order of its menu. Two
     /// configurations drawing from the same menus compare under
-    /// [`KernelConfig`](crate::config::KernelConfig)'s derived `Ord` exactly as their rank tuples do.
+    /// [`KernelConfig`]'s derived `Ord` exactly as their rank tuples do.
     pub rank: u32,
 }
 
@@ -201,7 +222,7 @@ impl CompiledMenus {
         }
     }
 
-    /// The tuple that orders configurations exactly as [`KernelConfig`](crate::config::KernelConfig)'s
+    /// The tuple that orders configurations exactly as [`KernelConfig`]'s
     /// derived lexicographic `Ord` does. Within one enumeration, equal
     /// leading ranks imply the same menu for the next component (the
     /// `regx`/`regy` menus are functions of the chosen `tbx`/`tby`

@@ -14,9 +14,10 @@
 //!    §IV-A, [`constraints`]);
 //! 3. **ranks** the survivors with an analytical DRAM-transaction cost
 //!    model (Algorithm 3, [`cost`]) — no code is run during the search;
-//! 4. **lowers** the winner to an executable [`KernelPlan`]
-//!    ([`lower`]) and **emits** the corresponding CUDA kernel and host
-//!    driver ([`codegen`]).
+//! 4. **lowers** the best few to executable [`KernelPlan`]s
+//!    ([`KernelConfig::lower`]), keeps the one that simulates fastest on
+//!    the virtual GPU (§VI, in [`Cogent::generate`]) and **emits** the
+//!    corresponding CUDA kernel and host driver ([`codegen`]).
 //!
 //! The front door is [`Cogent`]:
 //!
@@ -45,9 +46,7 @@ pub mod cost;
 pub mod enumerate;
 pub mod guard;
 pub mod intern;
-pub mod learned;
 pub mod library;
-pub mod lower;
 pub mod persist;
 pub mod select;
 pub mod serve;
@@ -68,7 +67,6 @@ pub use guard::{
     validate_plan, CogentError, PlanSource, PlanViolation, Provenance, RejectReason,
     RejectedCandidate,
 };
-pub use learned::LearnedRanker;
 pub use library::{KernelLibrary, KernelVersion};
 pub use persist::{CachePersister, LoadReport, PersistError, SaveReport, CACHE_DIR_ENV_VAR};
 pub use select::{

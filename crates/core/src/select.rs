@@ -25,8 +25,8 @@ use cogent_gpu_model::{GpuDevice, Precision};
 use cogent_ir::{Contraction, SizeMap};
 
 use crate::config::KernelConfig;
-use crate::constraints::{check_config_fast, PruneReason, PruneRules};
-use crate::cost::{transaction_cost_fast, CostBreakdown};
+use crate::constraints::{check_interned, PruneReason, PruneRules};
+use crate::cost::{transaction_cost_interned, CostBreakdown};
 use crate::enumerate::{enumerate_interned, Enumeration, EnumerationBudget, EnumerationOptions};
 
 /// Environment variable seeding [`SearchOptions::threads`] (and the
@@ -240,7 +240,7 @@ struct PrunePass {
     /// folded from these once, at assembly, instead of `format!`-ing a
     /// key per rejection.
     reasons: [usize; PruneReason::ALL.len()],
-    /// `check_config_fast` invocations performed.
+    /// Rule checks performed.
     checked: usize,
     /// Whether the deadline expired before the pass saw every candidate.
     truncated: bool,
@@ -284,7 +284,7 @@ struct PruneCtx<'a> {
     relaxed: bool,
 }
 
-/// One full pass of `check_config_fast` over the arena candidates named by
+/// One full pass of the §IV-A rules over the arena candidates named by
 /// `indices`, chunked across `threads` workers and merged in enumeration
 /// order. A set `deadline` is re-checked every
 /// [`DEADLINE_CHECK_INTERVAL`] candidates; expiry stops the chunk and
@@ -307,7 +307,7 @@ fn prune_pass(
             }
             pass.checked += 1;
             let i = i as usize;
-            match check_config_fast(
+            match check_interned(
                 &en.tables,
                 en.compiled.dims(en.arena.choice(i)),
                 en.arena.tiles(i),
@@ -358,7 +358,7 @@ fn rank_pass(
     let chunks = run_chunked(survivors, threads, "rank", |chunk: &[u32]| {
         // A dedicated "cost" span: the model evaluation is the hot part
         // of ranking and the profiler attributes it separately from the
-        // sort. transaction_cost_fast counts each evaluation on the
+        // sort. transaction_cost_interned counts each evaluation on the
         // evaluating thread — worker evaluations reach the trace through
         // their relayed spans, with no main-thread re-counting.
         let _cost = cogent_obs::span("cost");
@@ -371,7 +371,7 @@ fn rank_pass(
                     break;
                 }
             }
-            let cost = transaction_cost_fast(
+            let cost = transaction_cost_interned(
                 &en.tables,
                 en.compiled.dims(en.arena.choice(i as usize)),
                 en.arena.tiles(i as usize),
@@ -389,6 +389,27 @@ fn rank_pass(
         truncated |= chunk_truncated;
     }
     (scored, truncated)
+}
+
+/// The strict rules, then the rungs the search relaxes to when a pass
+/// prunes everything, each with its histogram tag: first the parallelism
+/// and occupancy floors go, then the coalescing requirement as well.
+fn relaxation_ladder(strict: &PruneRules) -> [(Option<&'static str>, PruneRules); 3] {
+    let parallelism = PruneRules {
+        min_blocks_per_sm: 0.0,
+        min_occupancy: 0.0,
+        min_threads: 1,
+        ..strict.clone()
+    };
+    let coalescing = PruneRules {
+        require_input_fvi_coalescing: false,
+        ..parallelism.clone()
+    };
+    [
+        (None, strict.clone()),
+        (Some("relaxed(parallelism)"), parallelism),
+        (Some("relaxed(coalescing)"), coalescing),
+    ]
 }
 
 /// Runs the full model-driven search for `tc` under the representative
@@ -452,70 +473,34 @@ pub fn search(
     let all_indices: Vec<u32> = (0..enumerated as u32).collect();
 
     let prune_span = cogent_obs::span("prune");
-    let mut pruned = prune_pass(
-        &en,
-        &all_indices,
-        PruneCtx {
+    // Progressive relaxation for small problems: walk the ladder until a
+    // rung leaves survivors or a pass is cut short. Every relaxed check is
+    // accounted: the passes add to `checked` and fold their rejections
+    // into the histogram/counters under distinct keys, so `cogent explain`
+    // reports the work actually done. A deadline already expired after
+    // the strict pass skips relaxation — the budget is blown (whether it
+    // cut enumeration or the strict pass short), and the empty survivor
+    // set reflects truncation, not genuinely unprunable rules.
+    let mut pruned = PrunePass::default();
+    let mut histogram = BTreeMap::new();
+    let mut rules_relaxed = false;
+    for (rung, (tag, rules)) in relaxation_ladder(&options.rules).iter().enumerate() {
+        if rung > 0 {
+            let expired = rung == 1 && deadline.is_some_and(|d| Instant::now() >= d);
+            if !pruned.survivors.is_empty() || pruned.truncated || expired {
+                break;
+            }
+            rules_relaxed = true;
+        }
+        let ctx = PruneCtx {
             device,
             precision,
-            rules: &options.rules,
-            relaxed: false,
-        },
-        threads,
-        deadline,
-    );
-    let mut histogram = BTreeMap::new();
-    pruned.fold_into(&mut histogram, None);
-
-    // Progressive relaxation for small problems. Every relaxed
-    // `check_config_fast` invocation is accounted: the passes add to
-    // `checked` and fold their rejections into the histogram/counters
-    // under distinct keys, so `cogent explain` reports the work actually
-    // done. An expired deadline skips relaxation — the budget is already
-    // blown (whether it cut enumeration or the strict pass short), and the
-    // empty survivor set reflects truncation, not genuinely unprunable
-    // rules.
-    let deadline_expired = deadline.is_some_and(|d| Instant::now() >= d);
-    let mut rules_relaxed = false;
-    if pruned.survivors.is_empty() && !pruned.truncated && !deadline_expired {
-        rules_relaxed = true;
-        let mut relaxed = options.rules.clone();
-        relaxed.min_blocks_per_sm = 0.0;
-        relaxed.min_occupancy = 0.0;
-        relaxed.min_threads = 1;
-        let pass = prune_pass(
-            &en,
-            &all_indices,
-            PruneCtx {
-                device,
-                precision,
-                rules: &relaxed,
-                relaxed: true,
-            },
-            threads,
-            deadline,
-        );
-        pass.fold_into(&mut histogram, Some("relaxed(parallelism)"));
-        let had_survivors = !pass.survivors.is_empty();
-        let pass_truncated = pass.truncated;
+            rules,
+            relaxed: tag.is_some(),
+        };
+        let pass = prune_pass(&en, &all_indices, ctx, threads, deadline);
+        pass.fold_into(&mut histogram, *tag);
         pruned.absorb(pass);
-        if !had_survivors && !pass_truncated {
-            relaxed.require_input_fvi_coalescing = false;
-            let pass = prune_pass(
-                &en,
-                &all_indices,
-                PruneCtx {
-                    device,
-                    precision,
-                    rules: &relaxed,
-                    relaxed: true,
-                },
-                threads,
-                deadline,
-            );
-            pass.fold_into(&mut histogram, Some("relaxed(coalescing)"));
-            pruned.absorb(pass);
-        }
     }
     let survivors = pruned.survivors;
     let prune_truncated = pruned.truncated;

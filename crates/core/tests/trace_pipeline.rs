@@ -62,8 +62,8 @@ fn prune_reject_counters_sum_to_histogram() {
 fn relaxed_pruning_accounts_every_check() {
     // An 8^3 matmul on a V100 forces progressive relaxation: the strict
     // pass rejects everything, then one or two relaxed passes re-check
-    // the full enumeration. `prune.checked` must count every
-    // `check_config` invocation across all passes, and relaxed rejections
+    // the full enumeration. `prune.checked` must count every rule check
+    // across all rungs of the relaxation ladder, and relaxed rejections
     // must reach both the histogram (under `relaxed(...)` keys) and their
     // own `prune.relaxed.reject.*` counters.
     let (kernel, trace) = traced_generate("ij-ik-kj", 8);
