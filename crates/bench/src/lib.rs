@@ -48,29 +48,6 @@ pub fn quick_mode(args: &[String]) -> bool {
     args.iter().any(|a| a == "--quick")
 }
 
-/// Returns the value following `flag`, if present.
-pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Writes a JSON document (plus trailing newline) to `path`, creating
-/// parent directories as needed — the one writer every `results/*.json`
-/// emitter shares.
-pub fn write_json_report(path: &str, report: &Json) -> std::io::Result<()> {
-    if let Some(dir) = Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut text = String::new();
-    report.write(&mut text);
-    text.push('\n');
-    std::fs::write(path, text)
-}
-
 /// One row of the Fig. 4/5 comparison.
 #[derive(Debug, Clone)]
 pub struct Fig45Row {
@@ -203,20 +180,6 @@ mod tests {
         }
         assert!(found, "published trace missing from {text}");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn write_json_report_creates_directories() {
-        let dir = std::env::temp_dir().join("cogent_bench_json_report");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("nested/report.json");
-        let path_s = path.to_str().unwrap();
-        let report = Json::obj([("answer", Json::from(42u64))]);
-        write_json_report(path_s, &report).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "{\"answer\":42}\n");
-        assert_eq!(Json::parse(text.trim()).unwrap(), report);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

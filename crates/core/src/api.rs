@@ -176,15 +176,19 @@ impl Cogent {
     /// into a stable string for the cache key. `threads` is deliberately
     /// excluded: the search result is identical for every thread count
     /// (see [`crate::select::search`]), so serial and parallel runs share
-    /// cache entries.
+    /// cache entries. So is `time_budget`: a search the budget cut short
+    /// is never cached, and one it did not cut short is the unbudgeted
+    /// search, so budgeted and unbudgeted callers share entries too. The
+    /// constant `time_budget=None` field keeps the text, and so the keys
+    /// already persisted on disk and their shard placement, what it was
+    /// when the budget was part of the key.
     pub fn options_fingerprint(&self) -> String {
         format!(
-            "enum={:?};rules={:?};top_k={};max_configs={};time_budget={:?};refine_top={};store={:?};verify={};tol={:e};passes={}",
+            "enum={:?};rules={:?};top_k={};max_configs={};time_budget=None;refine_top={};store={:?};verify={};tol={:e};passes={}",
             self.options.enumeration,
             self.options.rules,
             self.options.top_k,
             self.options.max_configs,
-            self.options.time_budget,
             self.refine_top,
             self.store_mode,
             self.verify_numeric,
@@ -773,6 +777,27 @@ mod tests {
         };
         let parallel = Cogent::new().search_options(opts);
         assert_eq!(serial.options_fingerprint(), parallel.options_fingerprint());
+    }
+
+    #[test]
+    fn a_time_budget_shares_cache_entries_with_unbudgeted_callers() {
+        let tc: Contraction = "ij-ik-kj".parse().unwrap();
+        let sizes = SizeMap::uniform(&tc, 32);
+        let cache = Arc::new(KernelCache::new(8));
+        let budgeted = Cogent::new()
+            .search_options(SearchOptions {
+                time_budget: Some(std::time::Duration::from_secs(600)),
+                ..SearchOptions::default()
+            })
+            .cache(Arc::clone(&cache));
+        let unbudgeted = Cogent::new().cache(Arc::clone(&cache));
+        let cold = budgeted.generate(&tc, &sizes).unwrap();
+        assert!(!cold.search.truncated);
+        let warm = unbudgeted.generate(&tc, &sizes).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert_eq!(cold.cuda_source, warm.cuda_source);
+        assert_eq!(cold.opencl_source, warm.opencl_source);
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!   (0.0 = the model picked the simulated optimum).
 //!
 //! [`AuditReport`] aggregates these over a suite (e.g. the 48-entry TCCG
-//! benchmark) and serializes to the `cogent.audit.v1` JSON schema that
-//! `tools/bench_diff` gates CI against.
+//! benchmark) and serializes to the `cogent.audit.v1` JSON schema
+//! (`cogent audit --json`). The workspace test `tests/audit_fidelity.rs`
+//! pins every TCCG entry's Spearman correlation, regret and p99 relative
+//! error against recorded values.
 //!
 //! Audits are spanned (`audit.contraction` with a nested `audit.measure`
 //! per re-measured configuration), so `cogent profile` can attribute

@@ -478,16 +478,20 @@ pub fn search(
     // accounted: the passes add to `checked` and fold their rejections
     // into the histogram/counters under distinct keys, so `cogent explain`
     // reports the work actually done. A deadline already expired after
-    // the strict pass skips relaxation — the budget is blown (whether it
-    // cut enumeration or the strict pass short), and the empty survivor
-    // set reflects truncation, not genuinely unprunable rules.
+    // the strict pass skips relaxation and marks the pass truncated — the
+    // budget is blown (whether it cut enumeration or the strict pass
+    // short), and the empty survivor set reflects truncation, not
+    // genuinely unprunable rules.
     let mut pruned = PrunePass::default();
     let mut histogram = BTreeMap::new();
     let mut rules_relaxed = false;
     for (rung, (tag, rules)) in relaxation_ladder(&options.rules).iter().enumerate() {
         if rung > 0 {
-            let expired = rung == 1 && deadline.is_some_and(|d| Instant::now() >= d);
-            if !pruned.survivors.is_empty() || pruned.truncated || expired {
+            if !pruned.survivors.is_empty() || pruned.truncated {
+                break;
+            }
+            if rung == 1 && deadline.is_some_and(|d| Instant::now() >= d) {
+                pruned.truncated = true;
                 break;
             }
             rules_relaxed = true;

@@ -278,11 +278,11 @@ fn parse_deadline(json: &Json, state: &SharedState) -> Result<Instant, Response>
     Ok(Instant::now() + timeout)
 }
 
-/// The generator used for cache keys and actual searches. The cache key
-/// must NOT depend on the per-request deadline (a warm hit is a warm hit
-/// however patient the client is), so the key fingerprint comes from the
-/// base generator with `time_budget = None` and the deadline is applied
-/// only to the search itself.
+/// The generator used for cache keys and actual searches. The
+/// per-request deadline is applied only to the search itself, as its
+/// `time_budget`; the cache key does not depend on it, because
+/// [`Cogent::options_fingerprint`] leaves the budget out (a warm hit is a
+/// warm hit however patient the client is).
 fn base_generator(spec: &GenerateSpec) -> Cogent {
     Cogent::new()
         .device(spec.device.clone())

@@ -488,9 +488,6 @@ fn post_with_id(addr: SocketAddr, path: &str, id: &str, body: &str) -> (u16, Str
 
 #[test]
 fn worker_panic_dumps_a_flight_recording_with_the_failing_request() {
-    if cogent_obs::STRIPPED {
-        return;
-    }
     let dir = TempDir::new("flight-panic");
     let server = Server::spawn(ServeConfig {
         flight_dir: Some(dir.path().to_path_buf()),

@@ -17,9 +17,6 @@
 //! [`FlightRecord::to_trace`] lowers a timeline to a synthetic
 //! [`PipelineTrace`] so the existing [`crate::profile::PhaseProfile`]
 //! machinery can attribute time across many requests.
-//!
-//! In [`crate::STRIPPED`] builds [`FlightRecorder::record`] compiles to
-//! nothing, matching the rest of the observability layer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -346,11 +343,8 @@ impl FlightRecorder {
     }
 
     /// Pushes one closed record, overwriting the oldest once the ring is
-    /// full. Compiled out in [`crate::STRIPPED`] builds.
+    /// full.
     pub fn record(&self, record: FlightRecord) {
-        if crate::STRIPPED {
-            return;
-        }
         let n = self.pushes.fetch_add(1, Ordering::Relaxed);
         let slot = (n % self.slots.len() as u64) as usize;
         let mut guard = self.slots[slot].lock().unwrap_or_else(|e| e.into_inner());
@@ -482,9 +476,6 @@ mod tests {
 
     #[test]
     fn ring_keeps_newest_records_in_order() {
-        if crate::STRIPPED {
-            return;
-        }
         let recorder = FlightRecorder::new(3);
         assert!(recorder.snapshot().is_empty());
         for i in 0..5u64 {
@@ -497,9 +488,6 @@ mod tests {
 
     #[test]
     fn concurrent_pushes_never_lose_the_count() {
-        if crate::STRIPPED {
-            return;
-        }
         let recorder = std::sync::Arc::new(FlightRecorder::new(8));
         std::thread::scope(|scope| {
             for t in 0..4 {
@@ -517,9 +505,6 @@ mod tests {
 
     #[test]
     fn dump_round_trips_through_the_schema() {
-        if crate::STRIPPED {
-            return;
-        }
         let recorder = FlightRecorder::new(4);
         recorder.record(record("req-a", 1000));
         recorder.record(record("req-b", 2000));

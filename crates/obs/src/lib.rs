@@ -35,10 +35,6 @@
 //!   order after joining. Every span carries the [`thread_ordinal`] of
 //!   the thread that recorded it, so [`chrome`] exports render real
 //!   per-worker timelines.
-//! - Compiling with the `strip` cargo feature hard-disables the whole
-//!   layer at compile time ([`STRIPPED`]): [`enabled`] becomes a constant
-//!   `false` and the optimizer removes every probe. CI uses this build to
-//!   bound the overhead of the instrumented (but disabled) hot path.
 //!
 //! # Example
 //!
@@ -490,23 +486,15 @@ thread_local! {
     static THREAD_ORDINAL: u32 = NEXT_THREAD_ORDINAL.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Whether this build was compiled with the `strip` cargo feature, which
-/// hard-disables the observability layer: [`enabled`] is then a
-/// compile-time `false` and every probe folds to nothing. Used by the CI
-/// overhead gate to compare the instrumented-but-disabled hot path
-/// against a probe-free build.
-pub const STRIPPED: bool = cfg!(feature = "strip");
-
-/// Turns tracing on or off process-wide. Ignored in [`STRIPPED`] builds.
+/// Turns tracing on or off process-wide.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether tracing is currently enabled. A single relaxed atomic load
-/// (a compile-time `false` in [`STRIPPED`] builds).
+/// Whether tracing is currently enabled. A single relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    !STRIPPED && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Small dense ordinal of the calling thread, assigned on first use and

@@ -1257,9 +1257,6 @@ mod tests {
     #[test]
     fn flight_command_analyzes_a_dump() {
         use cogent::obs::flight::{FlightRecorder, FlightTimeline};
-        if cogent::obs::STRIPPED {
-            return;
-        }
         let recorder = FlightRecorder::new(8);
         for (id, endpoint) in [("req-a", "generate"), ("req-b", "explain")] {
             let mut timeline = FlightTimeline::start(id, endpoint);
