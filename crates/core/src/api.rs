@@ -3,6 +3,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use cogent_gpu_model::debug_text::{parse_value, DebugStruct};
 use cogent_gpu_model::{GpuDevice, Precision};
 use cogent_gpu_sim::plan::StoreMode;
 use cogent_gpu_sim::{simulate, KernelPlan, SimReport};
@@ -13,6 +14,8 @@ use cogent_kir::KernelProgram;
 use crate::cache::{CacheKey, KernelCache};
 use crate::codegen::{emit_driver, lower_with_passes, print_backend, Backend, PassConfig};
 use crate::config::KernelConfig;
+use crate::constraints::PruneRules;
+use crate::enumerate::EnumerationOptions;
 use crate::guard::{
     divergence_check, naive_config, naive_plan, record_violations, validate_generated, CogentError,
     PlanSource, PlanViolation, Provenance, RejectReason, RejectedCandidate,
@@ -195,6 +198,63 @@ impl Cogent {
             self.divergence_tolerance,
             self.passes.fingerprint(),
         )
+    }
+
+    /// The inverse of [`Cogent::options_fingerprint`]: a generator on the
+    /// default device and precision whose fingerprint is `text`. The
+    /// knobs the fingerprint leaves out (`threads`, `time_budget`, the
+    /// cache) keep their defaults.
+    ///
+    /// # Errors
+    ///
+    /// A one-line reason naming the field that does not parse back.
+    pub(crate) fn from_options_fingerprint(text: &str) -> Result<Self, String> {
+        let names = "enum rules top_k max_configs time_budget refine_top store verify tol passes";
+        let mut values = [""; 10];
+        // `splitn` leaves the last field, the pass list, whole.
+        let mut parts = text.splitn(values.len(), ';');
+        for (name, value) in names.split(' ').zip(&mut values) {
+            *value = parts
+                .next()
+                .and_then(|part| part.strip_prefix(name)?.strip_prefix('='))
+                .ok_or_else(|| format!("options: missing `{name}=`"))?;
+        }
+        let [menus, rules, top_k, max_configs, time_budget, refine_top, store, verify, tol, passes] =
+            values;
+        if time_budget != "None" {
+            return Err(format!("time_budget: {time_budget:?} is not None"));
+        }
+        let menus = DebugStruct::parse(menus, "EnumerationOptions")?;
+        let rules = DebugStruct::parse(rules, "PruneRules")?;
+        let options = SearchOptions {
+            enumeration: EnumerationOptions {
+                tb_sizes: menus.list("tb_sizes")?,
+                reg_sizes: menus.list("reg_sizes")?,
+                tbk_sizes: menus.list("tbk_sizes")?,
+            },
+            rules: PruneRules {
+                min_threads: rules.get("min_threads")?,
+                min_blocks_per_sm: rules.get("min_blocks_per_sm")?,
+                min_occupancy: rules.get("min_occupancy")?,
+                require_input_fvi_coalescing: rules.get("require_input_fvi_coalescing")?,
+                min_fvi_tile: rules.get("min_fvi_tile")?,
+            },
+            top_k: parse_value("top_k", top_k)?,
+            max_configs: parse_value("max_configs", max_configs)?,
+            ..SearchOptions::default()
+        };
+        let store_mode = match store {
+            "Assign" => StoreMode::Assign,
+            "Accumulate" => StoreMode::Accumulate,
+            other => return Err(format!("store: unknown mode {other:?}")),
+        };
+        Ok(Self::new()
+            .search_options(options)
+            .refine_top(parse_value("refine_top", refine_top)?)
+            .store_mode(store_mode)
+            .verify_numeric(parse_value("verify", verify)?)
+            .divergence_tolerance(parse_value("tol", tol)?)
+            .passes(PassConfig::from_fingerprint(passes)?))
     }
 
     /// The configured device.

@@ -30,10 +30,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use cogent_gpu_model::debug_text::parse_value;
 use cogent_gpu_model::{GpuDevice, Precision};
+use cogent_ir::parse::parse_allowing_batch;
 use cogent_ir::{Contraction, SizeMap};
 
-use crate::api::GeneratedKernel;
+use crate::api::{Cogent, GeneratedKernel};
 
 /// Environment variable seeding [`KernelCache::from_env`]'s capacity.
 /// Unset, empty or unparsable values mean [`DEFAULT_CAPACITY`]; `0`
@@ -121,6 +123,34 @@ impl CacheKey {
         let mut hasher = DefaultHasher::new();
         self.hash(&mut hasher);
         (hasher.finish() as usize) % shards
+    }
+
+    /// The inverse of [`CacheKey::new`]: the generator (no cache, no time
+    /// budget), contraction and sizes this key describes. A key that does
+    /// not rebuild to itself from them is an error, so `generate` on the
+    /// result is exactly the generation the key names.
+    ///
+    /// # Errors
+    ///
+    /// A one-line reason naming the part that does not parse back.
+    pub(crate) fn generator(&self) -> Result<(Cogent, Contraction, SizeMap), String> {
+        let tc =
+            parse_allowing_batch(&self.contraction).map_err(|e| format!("contraction: {e}"))?;
+        let mut sizes = SizeMap::new();
+        for pair in self.sizes.split_terminator(',') {
+            let (index, extent) = pair
+                .split_once('=')
+                .ok_or_else(|| format!("sizes: {pair:?} is not index=extent"))?;
+            sizes.set(index, parse_value(index, extent)?);
+        }
+        let gen = Cogent::from_options_fingerprint(&self.options)?
+            .device(GpuDevice::from_debug_text(&self.device)?)
+            .precision(self.precision);
+        let options = gen.options_fingerprint();
+        if CacheKey::new(&tc, &sizes, gen.target_device(), self.precision, &options) != *self {
+            return Err("key does not rebuild to itself".to_string());
+        }
+        Ok((gen, tc, sizes))
     }
 
     /// Rebuilds a key from its flattened parts (the inverse of

@@ -57,6 +57,22 @@ impl PassConfig {
             PassConfig::Custom(names) => format!("custom:{}", names.join(",")),
         }
     }
+
+    /// The inverse of [`PassConfig::fingerprint`].
+    ///
+    /// # Errors
+    ///
+    /// A one-line reason when `text` is not a pass-pipeline fingerprint.
+    pub(crate) fn from_fingerprint(text: &str) -> Result<PassConfig, String> {
+        match (text, text.strip_prefix("custom:")) {
+            ("none", _) => Ok(PassConfig::None),
+            ("default", _) => Ok(PassConfig::Default),
+            (_, Some(list)) => Ok(PassConfig::Custom(
+                list.split_terminator(',').map(str::to_string).collect(),
+            )),
+            (_, None) => Err(format!("passes: unknown pipeline {text:?}")),
+        }
+    }
 }
 
 /// The staging vector width for a precision: 16-byte global transactions

@@ -2,68 +2,69 @@
 //!
 //! A long-lived generation service (`cogent serve`) pays the model-driven
 //! search once per distinct request and answers the rest from the cache —
-//! but only if the cache survives restarts. This module writes each cache
-//! shard to its own file under a directory (the `COGENT_CACHE_DIR`
-//! environment variable), with three crash-safety properties:
+//! but only if the cache survives restarts. The kernel is a pure function
+//! of its [`CacheKey`], so a shard file stores keys, not kernels: each
+//! entry is the key's five parts plus the FNV-1a-64 of the CUDA and the
+//! OpenCL source it produced. Loading rebuilds every entry by running the
+//! generator again (`CacheKey::generator` and `Cogent::generate`) and
+//! keeps it only when both sources hash to the recorded values. Nothing
+//! read from disk reaches a response except a key that regenerates to the
+//! recorded sources.
+//!
+//! Each cache shard saves to its own file under a directory (the
+//! `COGENT_CACHE_DIR` environment variable), with three crash-safety
+//! properties:
 //!
 //! * **Atomic writes.** A shard is serialized to `shard-N.json.tmp`,
 //!   `fsync`ed, then renamed over `shard-N.json`. A crash mid-write
 //!   leaves the previous complete file in place, never a torn one.
 //! * **Corruption detection, not corruption trust.** Every file carries a
 //!   FNV-1a-64 checksum of its payload and a schema header; on load, a
-//!   file that fails the checksum, the JSON parse, or semantic validation
-//!   (every kernel plan is rebuilt through [`KernelPlan::new`], which
-//!   re-checks the binding invariants) is renamed to `*.quarantined` and
-//!   skipped. Startup never fails because of a bad shard file — the
-//!   affected entries are simply regenerated on demand.
+//!   file that fails the checksum, the JSON parse or the schema (an older
+//!   format version included) is renamed to `*.quarantined` and skipped.
+//!   An entry whose key does not parse back, or whose regenerated sources
+//!   hash differently, is left out and reported in
+//!   [`LoadReport::dropped`]. Startup never fails because of a bad shard
+//!   file — the affected entries are simply regenerated on demand.
 //! * **Byte-stable round trips.** Entries are written coldest-first (the
-//!   shard's LRU order), floats are stored as exact IEEE-754 bit
-//!   patterns, and histogram keys keep their `BTreeMap` order, so
-//!   save → load → save reproduces the file byte for byte and a reloaded
-//!   cache serves byte-identical kernels in the same eviction order.
-//!
-//! Entries whose [`Provenance`] records rejected candidates are not
-//! persisted: the rejection detail (typed `PlanError` / `PlanViolation`
-//! chains) is intentionally not round-trippable, and such kernels came
-//! from a degraded generation that deserves a fresh search after restart.
+//!   shard's LRU order) and reinserted in that order, so save → load →
+//!   save reproduces the file byte for byte and a reloaded cache serves
+//!   byte-identical kernels in the same eviction order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use cogent_gpu_model::occupancy::Limiter;
-use cogent_gpu_model::{Occupancy, Precision, TimeBreakdown};
-use cogent_gpu_sim::plan::{IndexBinding, KernelPlan, MapDim, StoreMode};
-use cogent_gpu_sim::{SimReport, TraceReport};
-use cogent_ir::{Contraction, IndexName};
+use cogent_gpu_model::Precision;
 use cogent_obs::json::Json;
 
 use crate::api::GeneratedKernel;
 use crate::cache::{CacheKey, KernelCache};
-use crate::config::KernelConfig;
-use crate::cost::CostBreakdown;
-use crate::guard::{PlanSource, Provenance};
-use crate::select::{RankedConfig, SearchOutcome};
 
 /// Environment variable naming the cache persistence directory. Unset or
-/// empty means persistence is off ([`CachePersister::from_env`] returns
-/// `Ok(None)`).
+/// blank means persistence is off (see [`parse_cache_dir`]).
 pub const CACHE_DIR_ENV_VAR: &str = "COGENT_CACHE_DIR";
 
 /// First token of every shard file's header line.
 const SHARD_MAGIC: &str = "cogent-cache-shard";
 /// On-disk format version token (second header token).
-const SHARD_FORMAT: &str = "v1";
+const SHARD_FORMAT: &str = "v2";
 /// Schema identifier embedded in the JSON payload.
-const SHARD_SCHEMA: &str = "cogent.cache.shard.v1";
+const SHARD_SCHEMA: &str = "cogent.cache.shard.v2";
 
-/// FNV-1a 64-bit hash — the shard files' checksum. Not cryptographic;
-/// it detects truncation and bit rot, which is the failure model for a
-/// local cache directory (an attacker who can write the cache dir can
-/// already replace the binary).
+/// The `COGENT_CACHE_DIR` rule: unset or blank (empty or whitespace only)
+/// means persistence is off; any other value names the directory as is.
+pub fn parse_cache_dir(raw: Option<&str>) -> Option<PathBuf> {
+    raw.filter(|dir| !dir.trim().is_empty()).map(PathBuf::from)
+}
+
+/// FNV-1a 64-bit hash — the shard files' checksum and the recorded hash
+/// of each entry's sources. Not cryptographic; it detects truncation and
+/// bit rot, which is the failure model for a local cache directory (an
+/// attacker who can write the cache dir can already replace the binary).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -107,13 +108,17 @@ impl std::error::Error for PersistError {
 pub struct LoadReport {
     /// Shard files inspected (including quarantined ones).
     pub files_seen: usize,
-    /// Entries re-inserted into the cache.
+    /// Entries regenerated and re-inserted into the cache.
     pub entries_loaded: usize,
-    /// Files that failed the checksum, parse, or semantic validation,
-    /// with the reason; each was renamed to `<name>.quarantined` (or
-    /// removed when even the rename failed) so the next startup does not
-    /// trip over it again.
+    /// Files that failed the checksum, parse, or schema check, with the
+    /// reason; each was renamed to `<name>.quarantined` (or removed when
+    /// even the rename failed) so the next startup does not trip over it
+    /// again.
     pub quarantined: Vec<(PathBuf, String)>,
+    /// Entries of intact files that were not inserted: the key did not
+    /// parse back, generation failed, or a regenerated source's hash
+    /// differs from the recorded one. The next save drops them.
+    pub dropped: Vec<(CacheKey, String)>,
 }
 
 /// What one [`CachePersister::save_dirty`] / [`save_all`](CachePersister::save_all) pass wrote.
@@ -123,9 +128,15 @@ pub struct SaveReport {
     pub shards_written: usize,
     /// Shards skipped because their version matched the last save.
     pub shards_clean: usize,
-    /// Entries written across all saved shards (degraded entries are
-    /// skipped — see the [module docs](self)).
+    /// Entries written across all saved shards.
     pub entries_written: usize,
+}
+
+/// One stored entry: the key and the hashes of the sources it produced.
+struct StoredEntry {
+    key: CacheKey,
+    cuda: u64,
+    opencl: u64,
 }
 
 /// Saves and restores a [`KernelCache`] to a directory of checksummed
@@ -147,43 +158,37 @@ impl CachePersister {
     /// Returns [`PersistError`] when the directory cannot be created.
     pub fn new(dir: impl Into<PathBuf>) -> Result<Self, PersistError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|source| PersistError {
-            path: dir.clone(),
-            source,
-        })?;
+        fs::create_dir_all(&dir).map_err(io_err(&dir))?;
         Ok(Self {
             dir,
             saved: Mutex::new(HashMap::new()),
         })
     }
 
-    /// A persister rooted at `COGENT_CACHE_DIR`, or `None` when the
-    /// variable is unset or empty (persistence off).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] when the directory cannot be created.
-    pub fn from_env() -> Result<Option<Self>, PersistError> {
-        match std::env::var(CACHE_DIR_ENV_VAR) {
-            Ok(dir) if !dir.trim().is_empty() => Self::new(dir.trim().to_string()).map(Some),
-            _ => Ok(None),
-        }
-    }
-
-    /// The persistence directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn shard_path(&self, index: usize) -> PathBuf {
         self.dir.join(format!("shard-{index}.json"))
     }
 
+    /// The directory's `shard-*.json` files, sorted by path.
+    fn shard_files(&self) -> Result<Vec<PathBuf>, PersistError> {
+        let mut paths = Vec::new();
+        for entry in fs::read_dir(&self.dir).map_err(io_err(&self.dir))? {
+            let path = entry.map_err(io_err(&self.dir))?.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with("shard-") && name.ends_with(".json") {
+                paths.push(path);
+            }
+        }
+        paths.sort();
+        Ok(paths)
+    }
+
     /// Loads every `shard-*.json` file in the directory into `cache`,
-    /// quarantining corrupt files instead of failing. Entries are
-    /// re-inserted coldest-first, so the cache's LRU eviction order (and
-    /// its behavior when the loaded set exceeds the capacity — hottest
-    /// entries win) matches the saved cache.
+    /// quarantining corrupt files instead of failing. Each entry is
+    /// regenerated, one after another, and re-inserted coldest-first, so
+    /// the cache's LRU eviction order (and its behavior when the loaded
+    /// set exceeds the capacity — hottest entries win) matches the saved
+    /// cache.
     ///
     /// The shard index in a file name is advisory: entries are routed to
     /// shards by key hash on insert, so a cache with a different shard
@@ -193,35 +198,22 @@ impl CachePersister {
     /// # Errors
     ///
     /// Returns [`PersistError`] only for directory-level I/O failures;
-    /// corrupt files are reported in [`LoadReport::quarantined`].
+    /// corrupt files are reported in [`LoadReport::quarantined`] and
+    /// entries that do not regenerate in [`LoadReport::dropped`].
     pub fn load(&self, cache: &KernelCache) -> Result<LoadReport, PersistError> {
         let mut report = LoadReport::default();
-        let mut paths: Vec<PathBuf> = Vec::new();
-        let entries = fs::read_dir(&self.dir).map_err(|source| PersistError {
-            path: self.dir.clone(),
-            source,
-        })?;
-        for entry in entries {
-            let entry = entry.map_err(|source| PersistError {
-                path: self.dir.clone(),
-                source,
-            })?;
-            let path = entry.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if name.starts_with("shard-") && name.ends_with(".json") {
-                paths.push(path);
-            }
-        }
-        paths.sort();
-        for path in paths {
+        for path in self.shard_files()? {
             report.files_seen += 1;
             match read_shard_file(&path) {
                 Ok(entries) => {
-                    for (key, kernel) in entries {
-                        cache.insert(key, kernel);
-                        report.entries_loaded += 1;
+                    for stored in entries {
+                        match regenerate(&stored) {
+                            Ok(kernel) => {
+                                cache.insert(stored.key, kernel);
+                                report.entries_loaded += 1;
+                            }
+                            Err(why) => report.dropped.push((stored.key, why)),
+                        }
                     }
                 }
                 Err(why) => {
@@ -280,10 +272,9 @@ impl CachePersister {
             }
             let mut entries = cache.snapshot_shard(index);
             entries.sort_by_key(|(_, _, last_used)| *last_used);
-            let (payload, written) = shard_payload(index, &entries);
-            self.write_shard(index, &payload)?;
+            self.write_shard(index, &shard_payload(index, &entries))?;
             report.shards_written += 1;
-            report.entries_written += written;
+            report.entries_written += entries.len();
             saved.insert(index, version);
         }
         if force {
@@ -296,24 +287,15 @@ impl CachePersister {
     /// shard count (left behind when a capacity change shrank the cache);
     /// their entries were already re-routed by [`CachePersister::load`].
     fn prune_orphans(&self, shard_count: usize) -> Result<(), PersistError> {
-        let entries = fs::read_dir(&self.dir).map_err(|source| PersistError {
-            path: self.dir.clone(),
-            source,
-        })?;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let Some(index) = name
-                .strip_prefix("shard-")
-                .and_then(|rest| rest.strip_suffix(".json"))
-                .and_then(|digits| digits.parse::<usize>().ok())
-            else {
-                continue;
-            };
-            if index >= shard_count {
-                fs::remove_file(&path).map_err(|source| PersistError { path, source })?;
+        for path in self.shard_files()? {
+            let index = path.file_name().and_then(|n| n.to_str()).and_then(|n| {
+                n.strip_prefix("shard-")?
+                    .strip_suffix(".json")?
+                    .parse()
+                    .ok()
+            });
+            if index.is_some_and(|index: usize| index >= shard_count) {
+                fs::remove_file(&path).map_err(io_err(&path))?;
             }
         }
         Ok(())
@@ -323,10 +305,6 @@ impl CachePersister {
         let final_path = self.shard_path(index);
         let tmp_path = self.dir.join(format!("shard-{index}.json.tmp"));
         let checksum = fnv1a64(payload.as_bytes());
-        let io_err = |path: &Path| {
-            let path = path.to_path_buf();
-            move |source| PersistError { path, source }
-        };
         {
             let mut file = fs::File::create(&tmp_path).map_err(io_err(&tmp_path))?;
             file.write_all(format!("{SHARD_MAGIC} {SHARD_FORMAT} {checksum:016x}\n").as_bytes())
@@ -343,8 +321,14 @@ impl CachePersister {
     }
 }
 
-/// Parses, checksums and semantically validates one shard file.
-fn read_shard_file(path: &Path) -> Result<Vec<(CacheKey, GeneratedKernel)>, String> {
+/// Wraps an I/O error with the path it concerns.
+fn io_err(path: &Path) -> impl FnOnce(std::io::Error) -> PersistError {
+    let path = path.to_path_buf();
+    move |source| PersistError { path, source }
+}
+
+/// Parses and checksums one shard file.
+fn read_shard_file(path: &Path) -> Result<Vec<StoredEntry>, String> {
     let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
     let text = String::from_utf8(bytes).map_err(|_| "not valid UTF-8".to_string())?;
     let (header, rest) = text
@@ -371,531 +355,111 @@ fn read_shard_file(path: &Path) -> Result<Vec<(CacheKey, GeneratedKernel)>, Stri
             "checksum mismatch: header says {want:016x}, payload hashes to {got:016x}"
         ));
     }
+    if payload.len() == rest.len() {
+        return Err("truncated: no final newline".to_string());
+    }
     let json = Json::parse(payload).map_err(|e| format!("payload: {e}"))?;
-    decode_shard(&json)
-}
-
-/// Serializes one shard's entries (already sorted coldest-first) to the
-/// payload string, returning it with the number of entries written.
-fn shard_payload(index: usize, entries: &[(CacheKey, GeneratedKernel, u64)]) -> (String, usize) {
-    let encoded: Vec<Json> = entries
-        .iter()
-        .filter_map(|(key, kernel, _)| encode_entry(key, kernel))
-        .collect();
-    let written = encoded.len();
-    let json = Json::obj([
-        ("schema", Json::Str(SHARD_SCHEMA.to_string())),
-        ("shard", Json::UInt(index as u128)),
-        ("entries", Json::Array(encoded)),
-    ]);
-    let mut out = String::new();
-    json.write(&mut out);
-    (out, written)
-}
-
-fn decode_shard(json: &Json) -> Result<Vec<(CacheKey, GeneratedKernel)>, String> {
-    let schema = get_str(json, "schema")?;
+    let schema = get_str(&json, "schema")?;
     if schema != SHARD_SCHEMA {
         return Err(format!("unknown schema {schema:?} (want {SHARD_SCHEMA})"));
     }
-    get_array(json, "entries")?
+    json.get("entries")
+        .and_then(Json::as_array)
+        .ok_or_else(|| "member \"entries\" is not an array".to_string())?
         .iter()
         .enumerate()
         .map(|(i, entry)| decode_entry(entry).map_err(|why| format!("entry {i}: {why}")))
         .collect()
 }
 
-fn encode_entry(key: &CacheKey, kernel: &GeneratedKernel) -> Option<Json> {
-    // Degraded generations carry rejection detail that does not round
-    // trip; let them be regenerated (and re-validated) after restart.
-    if !kernel.provenance.rejected.is_empty() {
-        return None;
-    }
-    Some(Json::obj([
-        ("key", encode_key(key)),
-        ("kernel", encode_kernel(kernel)),
-    ]))
+/// Serializes one shard's entries (already sorted coldest-first) to the
+/// payload string.
+fn shard_payload(index: usize, entries: &[(CacheKey, GeneratedKernel, u64)]) -> String {
+    let encoded = entries.iter().map(|(key, kernel, _)| {
+        let (contraction, sizes, device, precision, options) = key.parts();
+        Json::obj([
+            ("contraction", Json::Str(contraction.to_string())),
+            ("sizes", Json::Str(sizes.to_string())),
+            ("device", Json::Str(device.to_string())),
+            ("precision", Json::Str(precision.to_string())),
+            ("options", Json::Str(options.to_string())),
+            ("cuda_fnv1a64", hash_hex(&kernel.cuda_source)),
+            ("opencl_fnv1a64", hash_hex(&kernel.opencl_source)),
+        ])
+    });
+    let json = Json::obj([
+        ("schema", Json::Str(SHARD_SCHEMA.to_string())),
+        ("shard", Json::UInt(index as u128)),
+        ("entries", Json::Array(encoded.collect())),
+    ]);
+    let mut out = String::new();
+    json.write(&mut out);
+    out
 }
 
-fn decode_entry(json: &Json) -> Result<(CacheKey, GeneratedKernel), String> {
-    let key = decode_key(member(json, "key")?)?;
-    let kernel = decode_kernel(member(json, "kernel")?)?;
-    Ok((key, kernel))
+fn hash_hex(source: &str) -> Json {
+    Json::Str(format!("{:016x}", fnv1a64(source.as_bytes())))
 }
 
-fn encode_key(key: &CacheKey) -> Json {
-    let (contraction, sizes, device, precision, options) = key.parts();
-    Json::obj([
-        ("contraction", Json::Str(contraction.to_string())),
-        ("sizes", Json::Str(sizes.to_string())),
-        ("device", Json::Str(device.to_string())),
-        ("precision", Json::Str(precision_str(precision).to_string())),
-        ("options", Json::Str(options.to_string())),
-    ])
-}
-
-fn decode_key(json: &Json) -> Result<CacheKey, String> {
-    Ok(CacheKey::from_parts(
-        get_str(json, "contraction")?.to_string(),
-        get_str(json, "sizes")?.to_string(),
-        get_str(json, "device")?.to_string(),
-        parse_precision(get_str(json, "precision")?)?,
-        get_str(json, "options")?.to_string(),
-    ))
-}
-
-fn encode_kernel(kernel: &GeneratedKernel) -> Json {
-    Json::obj([
-        ("contraction", Json::Str(kernel.contraction.to_string())),
-        ("config", encode_config(&kernel.config)),
-        ("plan", encode_plan(&kernel.plan)),
-        ("cuda_source", Json::Str(kernel.cuda_source.clone())),
-        ("opencl_source", Json::Str(kernel.opencl_source.clone())),
-        ("report", encode_report(&kernel.report)),
-        ("search", encode_search(&kernel.search)),
-        ("provenance", encode_provenance(&kernel.provenance)),
-    ])
-}
-
-fn decode_kernel(json: &Json) -> Result<GeneratedKernel, String> {
-    let contraction: Contraction = get_str(json, "contraction")?
-        .parse()
-        .map_err(|e| format!("contraction: {e}"))?;
-    Ok(GeneratedKernel {
-        contraction,
-        config: decode_config(member(json, "config")?)?,
-        plan: decode_plan(member(json, "plan")?)?,
-        cuda_source: get_str(json, "cuda_source")?.to_string(),
-        opencl_source: get_str(json, "opencl_source")?.to_string(),
-        report: decode_report(member(json, "report")?)?,
-        search: decode_search(member(json, "search")?)?,
-        provenance: decode_provenance(member(json, "provenance")?)?,
-        // Traces describe one particular run, not the kernel; like cache
-        // inserts, persisted entries never carry one.
-        trace: None,
-    })
-}
-
-fn encode_config(config: &KernelConfig) -> Json {
-    Json::obj([
-        ("tbx", encode_mapped(&config.tbx)),
-        ("regx", encode_mapped(&config.regx)),
-        ("tby", encode_mapped(&config.tby)),
-        ("regy", encode_mapped(&config.regy)),
-        ("tbk", encode_mapped(&config.tbk)),
-    ])
-}
-
-fn decode_config(json: &Json) -> Result<KernelConfig, String> {
-    Ok(KernelConfig {
-        tbx: decode_mapped(member(json, "tbx")?)?,
-        regx: decode_mapped(member(json, "regx")?)?,
-        tby: decode_mapped(member(json, "tby")?)?,
-        regy: decode_mapped(member(json, "regy")?)?,
-        tbk: decode_mapped(member(json, "tbk")?)?,
-    })
-}
-
-fn encode_mapped(list: &[(IndexName, usize)]) -> Json {
-    Json::Array(
-        list.iter()
-            .map(|(name, tile)| {
-                Json::Array(vec![Json::Str(name.to_string()), Json::UInt(*tile as u128)])
-            })
-            .collect(),
-    )
-}
-
-fn decode_mapped(json: &Json) -> Result<Vec<(IndexName, usize)>, String> {
-    let Json::Array(items) = json else {
-        return Err("mapping list is not an array".to_string());
+fn decode_entry(json: &Json) -> Result<StoredEntry, String> {
+    let precision = match get_str(json, "precision")? {
+        "f32" => Precision::F32,
+        "f64" => Precision::F64,
+        other => return Err(format!("unknown precision {other:?}")),
     };
-    items
-        .iter()
-        .map(|pair| {
-            let Json::Array(kv) = pair else {
-                return Err("mapping entry is not a pair".to_string());
-            };
-            let (Some(name), Some(tile)) = (
-                kv.first().and_then(Json::as_str),
-                kv.get(1).and_then(Json::as_u128),
-            ) else {
-                return Err("mapping entry is not [name, tile]".to_string());
-            };
-            let tile = usize::try_from(tile).map_err(|_| format!("tile {tile} overflows usize"))?;
-            Ok((IndexName::from(name), tile))
-        })
-        .collect()
-}
-
-fn encode_plan(plan: &KernelPlan) -> Json {
-    Json::obj([
-        ("contraction", Json::Str(plan.contraction().to_string())),
-        (
-            "store_mode",
-            Json::Str(store_mode_str(plan.store_mode()).to_string()),
-        ),
-        (
-            "bindings",
-            Json::Array(
-                plan.bindings()
-                    .iter()
-                    .map(|b| {
-                        Json::obj([
-                            ("name", Json::Str(b.name.to_string())),
-                            ("extent", Json::UInt(b.extent as u128)),
-                            ("tile", Json::UInt(b.tile as u128)),
-                            ("dim", Json::Str(map_dim_str(b.dim).to_string())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn decode_plan(json: &Json) -> Result<KernelPlan, String> {
-    let tc: Contraction = get_str(json, "contraction")?
-        .parse()
-        .map_err(|e| format!("plan contraction: {e}"))?;
-    let mode = parse_store_mode(get_str(json, "store_mode")?)?;
-    let mut bindings = Vec::new();
-    for binding in get_array(json, "bindings")? {
-        bindings.push(IndexBinding::new(
-            IndexName::from(get_str(binding, "name")?),
-            get_usize(binding, "extent")?,
-            get_usize(binding, "tile")?,
-            parse_map_dim(get_str(binding, "dim")?)?,
-        ));
-    }
-    // KernelPlan::new re-validates every binding invariant, so a
-    // semantically tampered file is rejected here even when its checksum
-    // was recomputed to match.
-    KernelPlan::new(&tc, bindings)
-        .map(|plan| plan.with_store_mode(mode))
-        .map_err(|e| format!("plan rejected: {e}"))
-}
-
-fn encode_report(report: &SimReport) -> Json {
-    Json::obj([
-        ("load_a", Json::UInt(report.trace.load_a)),
-        ("load_b", Json::UInt(report.trace.load_b)),
-        ("store_c", Json::UInt(report.trace.store_c)),
-        (
-            "blocks_per_sm",
-            Json::UInt(report.occupancy.blocks_per_sm as u128),
-        ),
-        (
-            "warps_per_sm",
-            Json::UInt(report.occupancy.warps_per_sm as u128),
-        ),
-        ("occupancy_fraction", bits(report.occupancy.fraction)),
-        (
-            "limiter",
-            Json::Str(limiter_str(report.occupancy.limiter).to_string()),
-        ),
-        ("compute_s", bits(report.time.compute_s)),
-        ("memory_s", bits(report.time.memory_s)),
-        ("total_s", bits(report.time.total_s)),
-        ("time_gflops", bits(report.time.gflops)),
-        ("wave_efficiency", bits(report.time.wave_efficiency)),
-        ("gflops", bits(report.gflops)),
-        ("blocks", Json::UInt(report.blocks as u128)),
-        (
-            "threads_per_block",
-            Json::UInt(report.threads_per_block as u128),
-        ),
-        ("smem_bytes", Json::UInt(report.smem_bytes as u128)),
-    ])
-}
-
-fn decode_report(json: &Json) -> Result<SimReport, String> {
-    Ok(SimReport {
-        trace: TraceReport {
-            load_a: get_u128(json, "load_a")?,
-            load_b: get_u128(json, "load_b")?,
-            store_c: get_u128(json, "store_c")?,
-        },
-        occupancy: Occupancy {
-            blocks_per_sm: get_usize(json, "blocks_per_sm")?,
-            warps_per_sm: get_usize(json, "warps_per_sm")?,
-            fraction: get_bits(json, "occupancy_fraction")?,
-            limiter: parse_limiter(get_str(json, "limiter")?)?,
-        },
-        time: TimeBreakdown {
-            compute_s: get_bits(json, "compute_s")?,
-            memory_s: get_bits(json, "memory_s")?,
-            total_s: get_bits(json, "total_s")?,
-            gflops: get_bits(json, "time_gflops")?,
-            wave_efficiency: get_bits(json, "wave_efficiency")?,
-        },
-        gflops: get_bits(json, "gflops")?,
-        blocks: get_usize(json, "blocks")?,
-        threads_per_block: get_usize(json, "threads_per_block")?,
-        smem_bytes: get_usize(json, "smem_bytes")?,
-    })
-}
-
-fn encode_search(search: &SearchOutcome) -> Json {
-    Json::obj([
-        ("contraction", Json::Str(search.contraction.to_string())),
-        ("raw_space", Json::UInt(search.raw_space)),
-        ("enumerated", Json::UInt(search.enumerated as u128)),
-        ("survivors", Json::UInt(search.survivors as u128)),
-        (
-            // BTreeMap iteration is key-sorted, so this object (and the
-            // whole payload) is byte-stable across save cycles.
-            "prune_histogram",
-            Json::Object(
-                search
-                    .prune_histogram
-                    .iter()
-                    .map(|(rule, count)| (rule.clone(), Json::UInt(*count as u128)))
-                    .collect(),
-            ),
-        ),
-        ("rules_relaxed", Json::Bool(search.rules_relaxed)),
-        ("truncated", Json::Bool(search.truncated)),
-        (
-            "ranked",
-            Json::Array(
-                search
-                    .ranked
-                    .iter()
-                    .map(|ranked| {
-                        Json::obj([
-                            ("config", encode_config(&ranked.config)),
-                            ("load_a", Json::UInt(ranked.cost.load_a)),
-                            ("load_b", Json::UInt(ranked.cost.load_b)),
-                            ("store_c", Json::UInt(ranked.cost.store_c)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn decode_search(json: &Json) -> Result<SearchOutcome, String> {
-    let contraction: Contraction = get_str(json, "contraction")?
-        .parse()
-        .map_err(|e| format!("search contraction: {e}"))?;
-    let histogram = member(json, "prune_histogram")?;
-    let Json::Object(members) = histogram else {
-        return Err("prune_histogram is not an object".to_string());
+    let hash = |key: &str| {
+        u64::from_str_radix(get_str(json, key)?, 16)
+            .map_err(|_| format!("member {key:?} is not a 16-hex-digit hash"))
     };
-    let mut prune_histogram = BTreeMap::new();
-    for (rule, count) in members {
-        let count = count
-            .as_u128()
-            .and_then(|v| usize::try_from(v).ok())
-            .ok_or_else(|| format!("prune_histogram[{rule:?}] is not a count"))?;
-        prune_histogram.insert(rule.clone(), count);
-    }
-    let mut ranked = Vec::new();
-    for item in get_array(json, "ranked")? {
-        ranked.push(RankedConfig {
-            config: decode_config(member(item, "config")?)?,
-            cost: CostBreakdown {
-                load_a: get_u128(item, "load_a")?,
-                load_b: get_u128(item, "load_b")?,
-                store_c: get_u128(item, "store_c")?,
-            },
-        });
-    }
-    Ok(SearchOutcome {
-        contraction,
-        raw_space: get_u128(json, "raw_space")?,
-        enumerated: get_usize(json, "enumerated")?,
-        survivors: get_usize(json, "survivors")?,
-        prune_histogram,
-        rules_relaxed: get_bool(json, "rules_relaxed")?,
-        truncated: get_bool(json, "truncated")?,
-        ranked,
-    })
-}
-
-fn encode_provenance(provenance: &Provenance) -> Json {
-    let source = match provenance.source {
-        PlanSource::Search { model_rank } => Json::obj([
-            ("kind", Json::Str("search".to_string())),
-            ("model_rank", Json::UInt(model_rank as u128)),
-        ]),
-        PlanSource::NaiveFallback => Json::obj([("kind", Json::Str("naive_fallback".to_string()))]),
-    };
-    Json::obj([
-        ("source", source),
-        ("numeric_verified", Json::Bool(provenance.numeric_verified)),
-        (
-            "passes",
-            Json::Array(
-                provenance
-                    .passes
-                    .iter()
-                    .map(|p| Json::Str(p.clone()))
-                    .collect(),
-            ),
+    Ok(StoredEntry {
+        key: CacheKey::from_parts(
+            get_str(json, "contraction")?.to_string(),
+            get_str(json, "sizes")?.to_string(),
+            get_str(json, "device")?.to_string(),
+            precision,
+            get_str(json, "options")?.to_string(),
         ),
-    ])
-}
-
-fn decode_provenance(json: &Json) -> Result<Provenance, String> {
-    let source = member(json, "source")?;
-    let kind = get_str(source, "kind")?;
-    let source = match kind {
-        "search" => PlanSource::Search {
-            model_rank: get_usize(source, "model_rank")?,
-        },
-        "naive_fallback" => PlanSource::NaiveFallback,
-        other => return Err(format!("unknown plan source {other:?}")),
-    };
-    // Entries written before the pass framework carry no "passes" member;
-    // they were emitted with the baseline pipeline, so empty is exact.
-    let mut passes = Vec::new();
-    if json.get("passes").is_some() {
-        for p in get_array(json, "passes")? {
-            let Json::Str(name) = p else {
-                return Err("passes entry is not a string".to_string());
-            };
-            passes.push(name.clone());
-        }
-    }
-    Ok(Provenance {
-        source,
-        // Only undegraded entries are persisted (see `encode_entry`).
-        rejected: Vec::new(),
-        numeric_verified: get_bool(json, "numeric_verified")?,
-        passes,
+        cuda: hash("cuda_fnv1a64")?,
+        opencl: hash("opencl_fnv1a64")?,
     })
-}
-
-/// Encodes an `f64` as its exact IEEE-754 bit pattern in hex.
-/// `Json::Float` goes through decimal `to_string`, which does not
-/// guarantee bit-exact (or even type-stable) round trips; the cache's
-/// byte-identity contract needs exactness.
-fn bits(value: f64) -> Json {
-    Json::Str(format!("{:016x}", value.to_bits()))
-}
-
-fn get_bits(json: &Json, key: &str) -> Result<f64, String> {
-    let hex = get_str(json, key)?;
-    u64::from_str_radix(hex, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("member {key:?} is not a 16-hex-digit float bit pattern"))
-}
-
-fn member<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
-    json.get(key)
-        .ok_or_else(|| format!("missing member {key:?}"))
 }
 
 fn get_str<'a>(json: &'a Json, key: &str) -> Result<&'a str, String> {
-    member(json, key)?
-        .as_str()
-        .ok_or_else(|| format!("member {key:?} is not a string"))
+    json.get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("member {key:?} is missing or not a string"))
 }
 
-fn get_u128(json: &Json, key: &str) -> Result<u128, String> {
-    member(json, key)?
-        .as_u128()
-        .ok_or_else(|| format!("member {key:?} is not a non-negative integer"))
-}
-
-fn get_usize(json: &Json, key: &str) -> Result<usize, String> {
-    usize::try_from(get_u128(json, key)?).map_err(|_| format!("member {key:?} overflows usize"))
-}
-
-fn get_bool(json: &Json, key: &str) -> Result<bool, String> {
-    match member(json, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("member {key:?} is not a boolean")),
+/// Rebuilds one stored entry: what `Cogent::generate` would have cached
+/// for its key, provided both sources hash to the recorded values.
+fn regenerate(stored: &StoredEntry) -> Result<GeneratedKernel, String> {
+    let (gen, tc, sizes) = stored.key.generator()?;
+    let mut kernel = gen
+        .generate(&tc, &sizes)
+        .map_err(|e| format!("generate: {e}"))?;
+    if kernel.search.truncated {
+        return Err("search truncated".to_string());
     }
-}
-
-fn get_array<'a>(json: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    member(json, key)?
-        .as_array()
-        .ok_or_else(|| format!("member {key:?} is not an array"))
-}
-
-fn precision_str(precision: Precision) -> &'static str {
-    match precision {
-        Precision::F32 => "f32",
-        Precision::F64 => "f64",
+    if fnv1a64(kernel.cuda_source.as_bytes()) != stored.cuda {
+        return Err("regenerated CUDA source hash differs".to_string());
     }
-}
-
-fn parse_precision(s: &str) -> Result<Precision, String> {
-    match s {
-        "f32" => Ok(Precision::F32),
-        "f64" => Ok(Precision::F64),
-        other => Err(format!("unknown precision {other:?}")),
+    if fnv1a64(kernel.opencl_source.as_bytes()) != stored.opencl {
+        return Err("regenerated OpenCL source hash differs".to_string());
     }
-}
-
-fn store_mode_str(mode: StoreMode) -> &'static str {
-    match mode {
-        StoreMode::Assign => "assign",
-        StoreMode::Accumulate => "accumulate",
-    }
-}
-
-fn parse_store_mode(s: &str) -> Result<StoreMode, String> {
-    match s {
-        "assign" => Ok(StoreMode::Assign),
-        "accumulate" => Ok(StoreMode::Accumulate),
-        other => Err(format!("unknown store mode {other:?}")),
-    }
-}
-
-fn map_dim_str(dim: MapDim) -> &'static str {
-    match dim {
-        MapDim::ThreadX => "tbx",
-        MapDim::ThreadY => "tby",
-        MapDim::RegX => "regx",
-        MapDim::RegY => "regy",
-        MapDim::SerialK => "tbk",
-        MapDim::Grid => "grid",
-    }
-}
-
-fn parse_map_dim(s: &str) -> Result<MapDim, String> {
-    match s {
-        "tbx" => Ok(MapDim::ThreadX),
-        "tby" => Ok(MapDim::ThreadY),
-        "regx" => Ok(MapDim::RegX),
-        "regy" => Ok(MapDim::RegY),
-        "tbk" => Ok(MapDim::SerialK),
-        "grid" => Ok(MapDim::Grid),
-        other => Err(format!("unknown map dimension {other:?}")),
-    }
-}
-
-fn limiter_str(limiter: Limiter) -> &'static str {
-    match limiter {
-        Limiter::Threads => "threads",
-        Limiter::SharedMemory => "shared_memory",
-        Limiter::Registers => "registers",
-        Limiter::Infeasible => "infeasible",
-    }
-}
-
-fn parse_limiter(s: &str) -> Result<Limiter, String> {
-    match s {
-        "threads" => Ok(Limiter::Threads),
-        "shared_memory" => Ok(Limiter::SharedMemory),
-        "registers" => Ok(Limiter::Registers),
-        "infeasible" => Ok(Limiter::Infeasible),
-        other => Err(format!("unknown occupancy limiter {other:?}")),
-    }
+    // Cache entries never carry a trace: it describes one run.
+    kernel.trace = None;
+    Ok(kernel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Cogent;
+    use crate::codegen::PassConfig;
+    use crate::guard::PlanSource;
+    use crate::{Cogent, EnumerationOptions, PruneRules, SearchOptions};
     use cogent_gpu_model::GpuDevice;
-    use cogent_ir::SizeMap;
+    use cogent_gpu_sim::plan::StoreMode;
+    use cogent_ir::{Contraction, SizeMap};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -917,6 +481,18 @@ mod tests {
         fn path(&self) -> &Path {
             &self.0
         }
+
+        fn persister(&self) -> CachePersister {
+            CachePersister::new(&self.0).unwrap()
+        }
+
+        fn save_all(&self, cache: &KernelCache) -> SaveReport {
+            self.persister().save_all(cache).unwrap()
+        }
+
+        fn load(&self, cache: &KernelCache) -> LoadReport {
+            self.persister().load(cache).unwrap()
+        }
     }
 
     impl Drop for TempDir {
@@ -925,112 +501,85 @@ mod tests {
         }
     }
 
-    fn generate(spec: &str, n: usize) -> (CacheKey, GeneratedKernel) {
-        let tc: Contraction = spec.parse().unwrap();
-        let sizes = SizeMap::uniform(&tc, n);
-        let gen = Cogent::new();
-        let kernel = gen.generate(&tc, &sizes).unwrap();
-        let key = CacheKey::new(
-            &tc,
-            &sizes,
-            &GpuDevice::v100(),
-            Precision::F64,
-            &gen.options_fingerprint(),
-        );
-        (key, kernel)
+    fn key_of(gen: &Cogent, tc: &Contraction, sizes: &SizeMap) -> CacheKey {
+        let (device, precision) = (gen.target_device(), gen.target_precision());
+        CacheKey::new(tc, sizes, device, precision, &gen.options_fingerprint())
     }
 
-    fn shard_files(dir: &Path) -> Vec<PathBuf> {
-        let mut files: Vec<PathBuf> = fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".json"))
+    fn generate_with(gen: &Cogent, spec: &str, n: usize) -> (CacheKey, GeneratedKernel) {
+        let tc: Contraction = spec.parse().unwrap();
+        let sizes = SizeMap::uniform(&tc, n);
+        (key_of(gen, &tc, &sizes), gen.generate(&tc, &sizes).unwrap())
+    }
+
+    fn generate(spec: &str, n: usize) -> (CacheKey, GeneratedKernel) {
+        generate_with(&Cogent::new(), spec, n)
+    }
+
+    /// A cache holding freshly generated kernels, inserted in order.
+    fn filled(cap: usize, shards: usize, specs: &[(&str, usize)]) -> (KernelCache, Vec<CacheKey>) {
+        let cache = KernelCache::with_shards(cap, shards);
+        let keys = specs
+            .iter()
+            .map(|&(spec, n)| {
+                let (key, kernel) = generate(spec, n);
+                cache.insert(key.clone(), kernel);
+                key
             })
             .collect();
-        files.sort();
-        files
+        (cache, keys)
     }
 
     #[test]
     fn save_load_round_trip_is_byte_identical() {
         let dir = TempDir::new("roundtrip");
-        let cache = KernelCache::with_shards(8, 1);
-        let (k1, g1) = generate("ij-ik-kj", 24);
-        let (k2, g2) = generate("abc-bda-dc", 12);
-        cache.insert(k1.clone(), g1.clone());
-        cache.insert(k2.clone(), g2);
-        let persister = CachePersister::new(dir.path()).unwrap();
-        let saved = persister.save_all(&cache).unwrap();
-        assert_eq!(saved.entries_written, 2);
-        let first = fs::read(persister.shard_path(0)).unwrap();
+        let (cache, keys) = filled(8, 1, &[("ij-ik-kj", 24), ("abc-bda-dc", 12)]);
+        assert_eq!(dir.save_all(&cache).entries_written, 2);
+        let first = fs::read(dir.path().join("shard-0.json")).unwrap();
 
         // Load into a fresh cache; the warm hit must be byte-identical.
         let reloaded = KernelCache::with_shards(8, 1);
-        let loader = CachePersister::new(dir.path()).unwrap();
-        let report = loader.load(&reloaded).unwrap();
+        let report = dir.load(&reloaded);
         assert_eq!(report.entries_loaded, 2);
-        assert!(report.quarantined.is_empty());
-        let hit = reloaded.get(&k1).expect("persisted entry");
-        assert_eq!(hit.cuda_source, g1.cuda_source);
-        assert_eq!(hit.opencl_source, g1.opencl_source);
-        assert_eq!(hit.config, g1.config);
-        assert_eq!(hit.search, g1.search);
-        assert_eq!(hit.plan.bindings(), g1.plan.bindings());
-        assert_eq!(hit.report.gflops.to_bits(), g1.report.gflops.to_bits());
+        assert!(report.quarantined.is_empty() && report.dropped.is_empty());
+        let (hit, cold) = (reloaded.get(&keys[0]).unwrap(), generate("ij-ik-kj", 24).1);
+        assert_eq!(hit.cuda_source, cold.cuda_source);
+        assert_eq!(hit.opencl_source, cold.opencl_source);
+        assert_eq!(hit.search, cold.search);
+        assert_eq!(hit.plan.bindings(), cold.plan.bindings());
+        assert_eq!(hit.report.gflops.to_bits(), cold.report.gflops.to_bits());
 
         // Save the reloaded cache: byte-identical file. (The `get` above
-        // refreshed k1's recency — re-establish the original order first.)
-        let reloaded2 = KernelCache::with_shards(8, 1);
-        CachePersister::new(dir.path())
-            .unwrap()
-            .load(&reloaded2)
-            .unwrap();
+        // refreshed the first key's recency — reload the original order.)
+        let reloaded = KernelCache::with_shards(8, 1);
+        dir.load(&reloaded);
         let dir2 = TempDir::new("roundtrip2");
-        let persister2 = CachePersister::new(dir2.path()).unwrap();
-        persister2.save_all(&reloaded2).unwrap();
-        let second = fs::read(persister2.shard_path(0)).unwrap();
+        dir2.save_all(&reloaded);
+        let second = fs::read(dir2.path().join("shard-0.json")).unwrap();
         assert_eq!(first, second, "save → load → save must be byte-stable");
     }
 
     #[test]
     fn eviction_order_survives_reload() {
         let dir = TempDir::new("lru");
-        let cache = KernelCache::with_shards(2, 1);
-        let (k1, g1) = generate("ij-ik-kj", 16);
-        let (k2, g2) = generate("abc-bda-dc", 8);
-        cache.insert(k1.clone(), g1.clone());
-        cache.insert(k2.clone(), g2);
-        // Touch k1: k2 is now the eviction victim.
-        assert!(cache.get(&k1).is_some());
-        CachePersister::new(dir.path())
-            .unwrap()
-            .save_all(&cache)
-            .unwrap();
+        let (cache, keys) = filled(2, 1, &[("ij-ik-kj", 16), ("abc-bda-dc", 8)]);
+        // Touch the first key: the second is now the eviction victim.
+        assert!(cache.get(&keys[0]).is_some());
+        dir.save_all(&cache);
 
         let reloaded = KernelCache::with_shards(2, 1);
-        CachePersister::new(dir.path())
-            .unwrap()
-            .load(&reloaded)
-            .unwrap();
+        dir.load(&reloaded);
         let (k3, g3) = generate("ij-ik-kj", 32);
         reloaded.insert(k3, g3);
-        assert!(reloaded.get(&k2).is_none(), "k2 was coldest before save");
-        assert!(reloaded.get(&k1).is_some(), "k1 was hottest before save");
+        assert!(reloaded.get(&keys[1]).is_none(), "coldest before save");
+        assert!(reloaded.get(&keys[0]).is_some(), "hottest before save");
     }
 
     #[test]
     fn bit_flipped_shard_is_quarantined_not_fatal() {
         let dir = TempDir::new("bitflip");
-        let cache = KernelCache::with_shards(4, 1);
-        let (k1, g1) = generate("ij-ik-kj", 16);
-        cache.insert(k1.clone(), g1);
-        CachePersister::new(dir.path())
-            .unwrap()
-            .save_all(&cache)
-            .unwrap();
+        let (cache, keys) = filled(4, 1, &[("ij-ik-kj", 16)]);
+        dir.save_all(&cache);
         let path = dir.path().join("shard-0.json");
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -1038,13 +587,9 @@ mod tests {
         fs::write(&path, bytes).unwrap();
 
         let reloaded = KernelCache::with_shards(4, 1);
-        let report = CachePersister::new(dir.path())
-            .unwrap()
-            .load(&reloaded)
-            .unwrap();
-        assert_eq!(report.entries_loaded, 0);
-        assert_eq!(report.quarantined.len(), 1);
-        assert!(reloaded.get(&k1).is_none());
+        let report = dir.load(&reloaded);
+        assert_eq!((report.entries_loaded, report.quarantined.len()), (0, 1));
+        assert!(reloaded.get(&keys[0]).is_none());
         assert!(!path.exists(), "bad file must be moved aside");
         assert!(dir.path().join("shard-0.json.quarantined").exists());
     }
@@ -1052,140 +597,184 @@ mod tests {
     #[test]
     fn truncated_shard_is_quarantined() {
         let dir = TempDir::new("truncate");
-        let cache = KernelCache::with_shards(4, 1);
-        let (_, g1) = generate("ij-ik-kj", 16);
-        cache.insert(generate("ij-ik-kj", 16).0, g1);
-        CachePersister::new(dir.path())
-            .unwrap()
-            .save_all(&cache)
-            .unwrap();
+        dir.save_all(&filled(4, 1, &[("ij-ik-kj", 16)]).0);
         let path = dir.path().join("shard-0.json");
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
 
-        let reloaded = KernelCache::with_shards(4, 1);
-        let report = CachePersister::new(dir.path())
-            .unwrap()
-            .load(&reloaded)
-            .unwrap();
-        assert_eq!(report.entries_loaded, 0);
-        assert_eq!(report.quarantined.len(), 1);
+        let report = dir.load(&KernelCache::with_shards(4, 1));
+        assert_eq!((report.entries_loaded, report.quarantined.len()), (0, 1));
         assert!(report.quarantined[0].1.contains("checksum"));
     }
 
     #[test]
-    fn semantically_invalid_plan_is_quarantined_even_with_valid_checksum() {
-        let dir = TempDir::new("semantic");
-        let cache = KernelCache::with_shards(4, 1);
-        let (_, g1) = generate("ij-ik-kj", 16);
-        cache.insert(generate("ij-ik-kj", 16).0, g1);
-        let persister = CachePersister::new(dir.path()).unwrap();
-        persister.save_all(&cache).unwrap();
+    fn tampered_source_hash_drops_only_that_entry() {
+        let dir = TempDir::new("tamper");
+        let (cache, keys) = filled(4, 1, &[("ij-ik-kj", 16), ("abc-bda-dc", 8)]);
+        dir.save_all(&cache);
         let path = dir.path().join("shard-0.json");
+        let cuda = &generate("ij-ik-kj", 16).1.cuda_source;
+        let recorded = format!("{:016x}", fnv1a64(cuda.as_bytes()));
+        // Change that entry's recorded hash and recompute the checksum, so
+        // only regeneration can catch it.
         let text = fs::read_to_string(&path).unwrap();
-        // Re-map a thread dimension to an illegal one and recompute the
-        // checksum so only semantic validation can catch it.
-        let tampered = text
-            .split_once('\n')
-            .unwrap()
-            .1
-            .replace("\"dim\":\"tbx\"", "\"dim\":\"tbk\"");
-        let payload = tampered.strip_suffix('\n').unwrap_or(&tampered);
-        fs::write(
-            &path,
-            format!(
-                "{SHARD_MAGIC} {SHARD_FORMAT} {:016x}\n{payload}\n",
-                fnv1a64(payload.as_bytes())
-            ),
-        )
-        .unwrap();
+        let payload = text.split_once('\n').unwrap().1.trim_end_matches('\n');
+        assert_eq!(payload.matches(&recorded).count(), 1);
+        let payload = payload.replace(&recorded, &format!("{:016x}", fnv1a64(b"tampered")));
+        let checksum = fnv1a64(payload.as_bytes());
+        let header = format!("{SHARD_MAGIC} {SHARD_FORMAT} {checksum:016x}");
+        fs::write(&path, format!("{header}\n{payload}\n")).unwrap();
 
         let reloaded = KernelCache::with_shards(4, 1);
-        let report = CachePersister::new(dir.path())
-            .unwrap()
-            .load(&reloaded)
-            .unwrap();
-        assert_eq!(report.entries_loaded, 0);
-        assert_eq!(report.quarantined.len(), 1);
-        assert!(report.quarantined[0].1.contains("plan"), "{:?}", report);
+        let report = dir.load(&reloaded);
+        assert!(report.quarantined.is_empty(), "{report:?}");
+        assert_eq!((report.entries_loaded, report.dropped.len()), (1, 1));
+        assert_eq!(report.dropped[0].0, keys[0]);
+        assert!(report.dropped[0].1.contains("CUDA"), "{report:?}");
+        assert!(reloaded.get(&keys[0]).is_none());
+        assert!(reloaded.get(&keys[1]).is_some());
+        // The next save leaves the dropped entry off disk.
+        assert_eq!(dir.save_all(&reloaded).entries_written, 1);
+        assert!(!fs::read_to_string(&path).unwrap().contains(&recorded));
+    }
+
+    #[test]
+    fn a_non_default_generator_key_round_trips() {
+        let device = GpuDevice {
+            name: "Lab \"GPU\", rev \\2 { x: 1 }".to_string(),
+            sm_count: 7,
+            peak_gflops_f64: 0.1 + 0.2,
+            dram_bandwidth_gbs: 1e-7,
+            ..GpuDevice::v100()
+        };
+        let options = SearchOptions {
+            enumeration: EnumerationOptions {
+                tb_sizes: vec![4, 8],
+                reg_sizes: vec![3],
+                tbk_sizes: vec![],
+            },
+            rules: PruneRules {
+                min_threads: 64,
+                min_blocks_per_sm: 1.5,
+                min_occupancy: 1e-3,
+                require_input_fvi_coalescing: false,
+                min_fvi_tile: 2,
+            },
+            top_k: 5,
+            max_configs: 1000,
+            ..SearchOptions::default()
+        };
+        let passes = PassConfig::Custom(vec!["smem-pad".into(), "vectorize-loads".into()]);
+        let gen = Cogent::new()
+            .device(device)
+            .precision(Precision::F32)
+            .search_options(options)
+            .refine_top(2)
+            .store_mode(StoreMode::Accumulate)
+            .verify_numeric(true)
+            .divergence_tolerance(2.5e-9)
+            .passes(passes);
+        let tc: Contraction = "abcd-aebf-dfce".parse().unwrap();
+        let key = key_of(&gen, &tc, &SizeMap::uniform(&tc, 12));
+        let (back, back_tc, back_sizes) = key.generator().unwrap();
+        assert_eq!(back.target_device(), gen.target_device());
+        assert_eq!(back.options_fingerprint(), gen.options_fingerprint());
+        assert_eq!(key_of(&back, &back_tc, &back_sizes), key);
+    }
+
+    #[test]
+    fn preset_device_descriptions_are_their_debug_text() {
+        let tc: Contraction = "ij-ik-kj".parse().unwrap();
+        for device in [GpuDevice::v100(), GpuDevice::p100()] {
+            let key = key_of(
+                &Cogent::new().device(device.clone()),
+                &tc,
+                &SizeMap::uniform(&tc, 8),
+            );
+            assert_eq!(key.parts().2, format!("{device:?}"));
+            assert_eq!(key.generator().unwrap().0.target_device(), &device);
+        }
+    }
+
+    #[test]
+    fn a_key_that_does_not_parse_back_is_an_error() {
+        let (key, _) = generate("ij-ik-kj", 8);
+        let (c, s, d, p, o) = key.parts();
+        let broken = |c: &str, s: &str, d: &str, o: &str| {
+            CacheKey::from_parts(c.into(), s.into(), d.into(), p, o.into()).generator()
+        };
+        assert!(broken("ij-ik", s, d, o).is_err());
+        assert!(broken(c, "i=8,j=8,", d, o).is_err());
+        assert!(broken(c, s, &d.replace("sm_count: 80", "sm_count: x"), o).is_err());
+        assert!(broken(c, s, d, &o.replace("time_budget=None", "time_budget=1s")).is_err());
+        // Parses, but rebuilds to a different key.
+        assert!(broken(c, s, &d.replace("7000.0", "7000.00"), o).is_err());
+        assert!(broken(c, s, d, o).is_ok());
+    }
+
+    #[test]
+    fn blank_cache_dir_means_persistence_off() {
+        for blank in [None, Some(""), Some(" \t\n")] {
+            assert_eq!(parse_cache_dir(blank), None);
+        }
+        let dir = parse_cache_dir(Some("/var/cache/cogent"));
+        assert_eq!(dir, Some(PathBuf::from("/var/cache/cogent")));
     }
 
     #[test]
     fn save_dirty_skips_clean_shards() {
         let dir = TempDir::new("dirty");
-        let cache = KernelCache::new(8);
-        let (k1, g1) = generate("ij-ik-kj", 16);
-        cache.insert(k1.clone(), g1.clone());
-        let persister = CachePersister::new(dir.path()).unwrap();
-        let first = persister.save_dirty(&cache).unwrap();
-        assert!(first.shards_written >= 1);
+        let (cache, keys) = filled(8, 1, &[("ij-ik-kj", 16)]);
+        let persister = dir.persister();
+        assert_eq!(persister.save_dirty(&cache).unwrap().shards_written, 1);
         let second = persister.save_dirty(&cache).unwrap();
-        assert_eq!(second.shards_written, 0);
-        assert_eq!(second.shards_clean, cache.shard_count());
+        assert_eq!((second.shards_written, second.shards_clean), (0, 1));
         // A lookup does not dirty anything; an insert does.
-        assert!(cache.get(&k1).is_some());
+        assert!(cache.get(&keys[0]).is_some());
         assert_eq!(persister.save_dirty(&cache).unwrap().shards_written, 0);
-        cache.insert(generate("abc-bda-dc", 8).0, g1);
+        let (key, kernel) = generate("abc-bda-dc", 8);
+        cache.insert(key, kernel);
         assert_eq!(persister.save_dirty(&cache).unwrap().shards_written, 1);
     }
 
     #[test]
-    fn degraded_entries_are_not_persisted() {
+    fn degraded_entries_are_persisted_and_regenerate_identically() {
         let dir = TempDir::new("degraded");
-        let tc: Contraction = "ij-ik-kj".parse().unwrap();
-        let sizes = SizeMap::uniform(&tc, 12);
         let gen = Cogent::new()
             .verify_numeric(true)
             .divergence_tolerance(-1.0);
-        let kernel = gen.generate(&tc, &sizes).unwrap();
+        let (key, kernel) = generate_with(&gen, "ij-ik-kj", 12);
         assert!(!kernel.provenance.rejected.is_empty());
         let cache = KernelCache::new(8);
-        cache.insert(
-            CacheKey::new(
-                &tc,
-                &sizes,
-                &GpuDevice::v100(),
-                Precision::F64,
-                &gen.options_fingerprint(),
-            ),
-            kernel,
+        cache.insert(key.clone(), kernel.clone());
+        assert_eq!(dir.save_all(&cache).entries_written, 1);
+
+        let reloaded = KernelCache::new(8);
+        assert_eq!(dir.load(&reloaded).entries_loaded, 1);
+        let hit = reloaded.get(&key).unwrap();
+        assert_eq!(hit.provenance.source, PlanSource::NaiveFallback);
+        assert_eq!(
+            hit.provenance.rejected.len(),
+            kernel.provenance.rejected.len()
         );
-        let saved = CachePersister::new(dir.path())
-            .unwrap()
-            .save_all(&cache)
-            .unwrap();
-        assert_eq!(saved.entries_written, 0);
+        assert_eq!(hit.cuda_source, kernel.cuda_source);
     }
 
     #[test]
     fn load_routes_entries_across_different_shard_counts() {
         let dir = TempDir::new("reshard");
-        let cache = KernelCache::with_shards(16, 4);
-        let specs = ["ij-ik-kj", "abc-bda-dc", "abcd-aebf-dfce"];
-        let mut keys = Vec::new();
-        for spec in specs {
-            let (k, g) = generate(spec, 8);
-            keys.push(k.clone());
-            cache.insert(k, g);
-        }
-        CachePersister::new(dir.path())
-            .unwrap()
-            .save_all(&cache)
-            .unwrap();
+        let specs = [("ij-ik-kj", 8), ("abc-bda-dc", 8), ("abcd-aebf-dfce", 8)];
+        let (cache, keys) = filled(16, 4, &specs);
+        dir.save_all(&cache);
         // Reload into a single-shard cache: every entry must be found.
         let reloaded = KernelCache::with_shards(16, 1);
-        let report = CachePersister::new(dir.path())
-            .unwrap()
-            .load(&reloaded)
-            .unwrap();
-        assert_eq!(report.entries_loaded, 3);
+        assert_eq!(dir.load(&reloaded).entries_loaded, 3);
         for key in &keys {
             assert!(reloaded.get(key).is_some());
         }
         // save_all from the smaller cache prunes the now-orphaned files.
-        let persister = CachePersister::new(dir.path()).unwrap();
-        persister.save_all(&reloaded).unwrap();
-        assert_eq!(shard_files(dir.path()).len(), 1);
+        dir.save_all(&reloaded);
+        assert_eq!(dir.persister().shard_files().unwrap().len(), 1);
     }
 
     #[test]
@@ -1193,34 +782,16 @@ mod tests {
         let dir = TempDir::new("ignore");
         fs::write(dir.path().join("README.txt"), "not a shard").unwrap();
         fs::write(dir.path().join("shard-0.json.tmp"), "torn write").unwrap();
-        let cache = KernelCache::new(8);
-        let report = CachePersister::new(dir.path())
-            .unwrap()
-            .load(&cache)
-            .unwrap();
+        let report = dir.load(&KernelCache::new(8));
         assert_eq!(report.files_seen, 0);
         assert!(report.quarantined.is_empty());
     }
 
     #[test]
-    fn float_bits_round_trip_exactly() {
-        for value in [0.0, -0.0, 1.5, f64::MIN_POSITIVE, 1e308, 0.1 + 0.2] {
-            let json = Json::obj([("v", bits(value))]);
-            let back = get_bits(&json, "v").unwrap();
-            assert_eq!(back.to_bits(), value.to_bits());
-        }
-        // NaN keeps its exact payload too.
-        let json = Json::obj([("v", bits(f64::NAN))]);
-        assert_eq!(get_bits(&json, "v").unwrap().to_bits(), f64::NAN.to_bits());
-    }
-
-    #[test]
     fn persister_is_shareable_across_threads() {
         let dir = TempDir::new("threads");
-        let cache = Arc::new(KernelCache::new(8));
-        let (k1, g1) = generate("ij-ik-kj", 16);
-        cache.insert(k1, g1);
-        let persister = Arc::new(CachePersister::new(dir.path()).unwrap());
+        let cache = Arc::new(filled(8, 1, &[("ij-ik-kj", 16)]).0);
+        let persister = Arc::new(dir.persister());
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let cache = Arc::clone(&cache);
@@ -1230,6 +801,6 @@ mod tests {
                 });
             }
         });
-        assert!(!shard_files(dir.path()).is_empty());
+        assert!(!persister.shard_files().unwrap().is_empty());
     }
 }

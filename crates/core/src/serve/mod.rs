@@ -19,9 +19,10 @@
 //!   (`worker_panic`) and the worker lives on. The process never dies
 //!   from a request.
 //! - **Crash-safe persistence.** With a cache directory configured, the
-//!   kernel cache is checkpointed through [`crate::persist`] after every
-//!   insert and restored at startup (corrupt shards quarantined, never
-//!   fatal), so a killed server restarts with byte-identical warm
+//!   cache's keys are checkpointed through [`crate::persist`] after every
+//!   insert, and at startup each key is regenerated and kept only when
+//!   its sources hash to the recorded values (corrupt shards quarantined,
+//!   never fatal), so a killed server restarts with byte-identical warm
 //!   responses.
 //! - **Graceful drain.** Shutdown stops accepting, lets queued jobs
 //!   finish inside a drain budget, then persists the cache. The abrupt
@@ -128,17 +129,16 @@ impl ServeConfig {
     ///
     /// A one-line diagnostic naming the offending variable and value.
     pub fn from_env() -> Result<Self, String> {
-        let mut config = Self {
+        Ok(Self {
             cache_capacity: crate::cache::capacity_from_env()?,
             workers: crate::select::threads_from_env_checked()?,
+            cache_dir: crate::persist::parse_cache_dir(
+                std::env::var(crate::persist::CACHE_DIR_ENV_VAR)
+                    .ok()
+                    .as_deref(),
+            ),
             ..Self::default()
-        };
-        if let Ok(dir) = std::env::var(crate::persist::CACHE_DIR_ENV_VAR) {
-            if !dir.is_empty() {
-                config.cache_dir = Some(PathBuf::from(dir));
-            }
-        }
-        Ok(config)
+        })
     }
 }
 
@@ -354,8 +354,9 @@ impl Server {
     ///
     /// [`ServeError`] when the bind, the cache directory, or a thread
     /// spawn fails. Corrupt cache *content* is never an error — shards
-    /// that fail checksum or semantic validation are quarantined and the
-    /// server starts with whatever survived.
+    /// that fail the checksum or schema check are quarantined, entries
+    /// that do not regenerate to their recorded source hashes are
+    /// dropped, and the server starts with whatever survived.
     pub fn spawn(config: ServeConfig) -> Result<Server, ServeError> {
         cogent_obs::set_enabled(true);
         let cache = Arc::new(KernelCache::new(config.cache_capacity));
@@ -367,8 +368,9 @@ impl Server {
                 let report = persister.load(&cache)?;
                 quarantined = report.quarantined.len();
                 // Rewrite the on-disk state right away: quarantined
-                // shards are rebuilt from the surviving entries and a
-                // changed shard count is renormalized.
+                // shards are rebuilt from the surviving entries, dropped
+                // entries leave the files, and a changed shard count is
+                // renormalized.
                 persister.save_all(&cache)?;
                 Some(persister)
             }

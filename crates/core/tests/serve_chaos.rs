@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use cogent_core::persist::fnv1a64;
 use cogent_core::serve::{ReadLimits, ServeConfig, Server};
 
 /// A scratch directory under the system temp dir, removed on drop.
@@ -356,6 +357,13 @@ fn corrupted_cache_files_are_quarantined_not_fatal() {
         corrupted += 1;
     }
     assert!(corrupted > 0, "warm shutdown must have written shards");
+    // A shard in the retired v1 format, checksum intact, goes aside too.
+    let v1 = r#"{"schema":"cogent.cache.shard.v1","shard":7,"entries":[]}"#;
+    let v1 = format!(
+        "cogent-cache-shard v1 {:016x}\n{v1}\n",
+        fnv1a64(v1.as_bytes())
+    );
+    std::fs::write(dir.path().join("shard-7.json"), v1).expect("write v1 shard");
 
     // Restart over the corrupted directory: must start, quarantine, serve.
     let server = Server::spawn(ServeConfig {
@@ -380,6 +388,7 @@ fn corrupted_cache_files_are_quarantined_not_fatal() {
         })
         .count();
     assert!(quarantined > 0, "corrupt shards must be quarantined aside");
+    assert!(dir.path().join("shard-7.json.quarantined").exists());
     assert_healthy(addr);
     server.shutdown();
 }
@@ -387,7 +396,11 @@ fn corrupted_cache_files_are_quarantined_not_fatal() {
 #[test]
 fn kill_and_restart_preserves_warm_results_byte_for_byte() {
     let dir = TempDir::new("restart");
-    let body = r#"{"contraction":"abcd-aebf-dfce","uniform":16}"#;
+    // The second body varies every key part a request can set.
+    let bodies = [
+        r#"{"contraction":"abcd-aebf-dfce","uniform":16}"#,
+        r#"{"contraction":"abcd-aebf-dfce","uniform":16,"device":"p100","precision":"f32","store_mode":"accumulate"}"#,
+    ];
 
     // Server A: cold generate, then abrupt kill (no final persist — the
     // incremental checkpoint written at insert time must be enough).
@@ -396,26 +409,32 @@ fn kill_and_restart_preserves_warm_results_byte_for_byte() {
         ..chaos_config()
     })
     .expect("spawn A");
-    let (status, cold) = post(server_a.addr(), "/v1/generate", body);
-    assert_eq!(status, 200, "{cold}");
-    assert!(cold.contains("\"cache\":\"miss\""), "{cold}");
+    let mut cold = Vec::new();
+    for body in bodies {
+        let (status, response) = post(server_a.addr(), "/v1/generate", body);
+        assert_eq!(status, 200, "{response}");
+        assert!(response.contains("\"cache\":\"miss\""), "{response}");
+        cold.push(response);
+    }
     server_a.kill();
 
-    // Server B over the same directory: the same request must be a warm
-    // hit, byte-identical modulo the hit/miss marker.
+    // Server B over the same directory: the same requests must be warm
+    // hits, byte-identical modulo the hit/miss marker.
     let server_b = Server::spawn(ServeConfig {
         cache_dir: Some(dir.path().to_path_buf()),
         ..chaos_config()
     })
     .expect("spawn B");
-    let (status, warm) = post(server_b.addr(), "/v1/generate", body);
-    assert_eq!(status, 200, "{warm}");
-    assert!(warm.contains("\"cache\":\"hit\""), "{warm}");
-    assert_eq!(
-        warm.replace("\"cache\":\"hit\"", "\"cache\":\"miss\""),
-        cold,
-        "warm restart response must be byte-identical to the cold one"
-    );
+    for (body, cold) in bodies.iter().zip(&cold) {
+        let (status, warm) = post(server_b.addr(), "/v1/generate", body);
+        assert_eq!(status, 200, "{warm}");
+        assert!(warm.contains("\"cache\":\"hit\""), "{warm}");
+        assert_eq!(
+            &warm.replace("\"cache\":\"hit\"", "\"cache\":\"miss\""),
+            cold,
+            "warm restart response must be byte-identical to the cold one"
+        );
+    }
     server_b.shutdown();
 }
 

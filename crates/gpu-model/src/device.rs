@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::debug_text::DebugStruct;
+
 /// Floating-point precision of a kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Precision {
@@ -133,6 +135,32 @@ impl GpuDevice {
         }
     }
 
+    /// The inverse of `format!("{device:?}")`, the device text a kernel
+    /// cache key stores.
+    ///
+    /// # Errors
+    ///
+    /// A one-line reason naming the field that does not parse back.
+    pub fn from_debug_text(text: &str) -> Result<Self, String> {
+        let fields = DebugStruct::parse(text, "GpuDevice")?;
+        Ok(Self {
+            name: fields.string("name")?,
+            sm_count: fields.get("sm_count")?,
+            peak_gflops_f64: fields.get("peak_gflops_f64")?,
+            peak_gflops_f32: fields.get("peak_gflops_f32")?,
+            dram_bandwidth_gbs: fields.get("dram_bandwidth_gbs")?,
+            smem_per_block_bytes: fields.get("smem_per_block_bytes")?,
+            smem_per_sm_bytes: fields.get("smem_per_sm_bytes")?,
+            registers_per_sm: fields.get("registers_per_sm")?,
+            max_registers_per_thread: fields.get("max_registers_per_thread")?,
+            max_threads_per_sm: fields.get("max_threads_per_sm")?,
+            max_threads_per_block: fields.get("max_threads_per_block")?,
+            max_blocks_per_sm: fields.get("max_blocks_per_sm")?,
+            warp_size: fields.get("warp_size")?,
+            transaction_bytes: fields.get("transaction_bytes")?,
+        })
+    }
+
     /// Peak throughput for the given precision, GFLOP/s.
     pub fn peak_gflops(&self, precision: Precision) -> f64 {
         match precision {
@@ -186,6 +214,15 @@ mod tests {
         // The paper: 128 bytes = 16 double-precision elements.
         assert_eq!(v.elements_per_transaction(Precision::F64), 16);
         assert_eq!(v.elements_per_transaction(Precision::F32), 32);
+    }
+
+    #[test]
+    fn debug_text_reads_back() {
+        for device in [GpuDevice::p100(), GpuDevice::v100(), GpuDevice::a100()] {
+            let text = format!("{device:?}");
+            assert_eq!(GpuDevice::from_debug_text(&text), Ok(device));
+        }
+        assert!(GpuDevice::from_debug_text("GpuDevice { name: 3 }").is_err());
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! ```
 
 pub mod calib;
+pub mod debug_text;
 pub mod device;
 pub mod gemm_model;
 pub mod memory;

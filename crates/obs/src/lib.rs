@@ -70,20 +70,10 @@ pub use registry::{
 
 use metrics::Histogram;
 
-/// Schema identifier embedded in every serialized trace. Version 3 adds a
-/// per-span `thread` ordinal and a derived top-level `profile` section;
-/// [`PipelineTrace::from_json_str`] still reads [`TRACE_SCHEMA_V1`] and
-/// [`TRACE_SCHEMA_V2`] documents.
+/// Schema identifier embedded in every serialized trace: spans with
+/// counters, histograms, gauges and a `thread` ordinal, plus a derived
+/// top-level `profile` section.
 pub const TRACE_SCHEMA: &str = "cogent.trace.v3";
-
-/// Version 2 (per-span `histograms` and `gauges`, no thread ids),
-/// accepted by the reader; its spans parse with thread ordinal 0.
-pub const TRACE_SCHEMA_V2: &str = "cogent.trace.v2";
-
-/// The original schema (spans with counters only), accepted by the
-/// reader for compatibility with traces recorded before histograms and
-/// gauges existed.
-pub const TRACE_SCHEMA_V1: &str = "cogent.trace.v1";
 
 /// Environment variable that enables tracing for the CLI and benches.
 pub const TRACE_ENV_VAR: &str = "COGENT_TRACE";
@@ -343,12 +333,9 @@ impl PipelineTrace {
         self.to_json().to_string()
     }
 
-    /// Parses a trace previously produced by [`Self::to_json_string`].
-    /// Accepts the current [`TRACE_SCHEMA`] plus the older
-    /// [`TRACE_SCHEMA_V2`] (no thread ids: spans parse with thread 0) and
-    /// counters-only [`TRACE_SCHEMA_V1`] (empty histogram and gauge
-    /// tables as well). The derived `profile` section of v3 documents is
-    /// ignored — it is recomputed on the next serialization.
+    /// Parses a trace previously produced by [`Self::to_json_string`]
+    /// ([`TRACE_SCHEMA`] only). The derived `profile` section is ignored —
+    /// it is recomputed on the next serialization.
     ///
     /// # Errors
     ///
@@ -360,7 +347,7 @@ impl PipelineTrace {
             .get("schema")
             .and_then(json::Json::as_str)
             .ok_or("missing schema tag")?;
-        if schema != TRACE_SCHEMA && schema != TRACE_SCHEMA_V2 && schema != TRACE_SCHEMA_V1 {
+        if schema != TRACE_SCHEMA {
             return Err(format!("unknown trace schema {schema:?}"));
         }
         fn histogram(value: &json::Json, key: &str) -> Result<Histogram, String> {
@@ -420,37 +407,29 @@ impl PipelineTrace {
                         .ok_or_else(|| format!("counter {k:?} is not an unsigned integer"))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            // Absent in v1 documents: default to empty tables.
-            let histograms = match value.get("histograms") {
-                None => Vec::new(),
-                Some(h) => h
-                    .as_object()
-                    .ok_or("span histograms is not an object")?
-                    .iter()
-                    .map(|(k, v)| histogram(v, k).map(|h| (k.clone(), h)))
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            let gauges = match value.get("gauges") {
-                None => Vec::new(),
-                Some(g) => g
-                    .as_object()
-                    .ok_or("span gauges is not an object")?
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_f64()
-                            .map(|v| (k.clone(), v))
-                            .ok_or_else(|| format!("gauge {k:?} is not a number"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            // Absent before v3: default to thread ordinal 0.
-            let thread = match value.get("thread") {
-                None => 0,
-                Some(t) => t
-                    .as_u128()
-                    .filter(|&t| t <= u128::from(u32::MAX))
-                    .ok_or("span thread is not a u32")? as u32,
-            };
+            let histograms = value
+                .get("histograms")
+                .and_then(json::Json::as_object)
+                .ok_or("span missing histograms")?
+                .iter()
+                .map(|(k, v)| histogram(v, k).map(|h| (k.clone(), h)))
+                .collect::<Result<Vec<_>, _>>()?;
+            let gauges = value
+                .get("gauges")
+                .and_then(json::Json::as_object)
+                .ok_or("span missing gauges")?
+                .iter()
+                .map(|(k, v)| {
+                    v.as_f64()
+                        .map(|v| (k.clone(), v))
+                        .ok_or_else(|| format!("gauge {k:?} is not a number"))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let thread = value
+                .get("thread")
+                .and_then(json::Json::as_u128)
+                .filter(|&t| t <= u128::from(u32::MAX))
+                .ok_or("span thread is missing or not a u32")? as u32;
             let children = value
                 .get("children")
                 .and_then(json::Json::as_array)
@@ -1061,49 +1040,6 @@ mod tests {
     }
 
     #[test]
-    fn reads_v1_documents_without_metrics() {
-        // A document as PR 1's writer produced it: counters only.
-        let v1 = concat!(
-            r#"{"schema":"cogent.trace.v1","root":{"name":"generate","#,
-            r#""start_ns":0,"duration_ns":500,"#,
-            r#""counters":{"enumerate.configs":1296},"children":[]}}"#,
-        );
-        let trace = PipelineTrace::from_json_str(v1).unwrap();
-        assert_eq!(trace.root.name, "generate");
-        assert_eq!(trace.root.counter("enumerate.configs"), Some(1296));
-        assert!(trace.root.histograms.is_empty());
-        assert!(trace.root.gauges.is_empty());
-        assert_eq!(trace.root.thread, 0);
-        // Re-serializing upgrades the document to v3.
-        assert!(trace
-            .to_json_string()
-            .contains("\"schema\":\"cogent.trace.v3\""));
-    }
-
-    #[test]
-    fn reads_v2_documents_without_thread_ids() {
-        // A document as PR 3's writer produced it: metrics, no thread ids.
-        let v2 = concat!(
-            r#"{"schema":"cogent.trace.v2","root":{"name":"generate","#,
-            r#""start_ns":0,"duration_ns":500,"counters":{},"#,
-            r#""histograms":{},"gauges":{"occupancy":0.5},"#,
-            r#""children":[{"name":"prune","start_ns":10,"duration_ns":20,"#,
-            r#""counters":{"prune.checked":9},"histograms":{},"gauges":{},"#,
-            r#""children":[]}]}}"#,
-        );
-        let trace = PipelineTrace::from_json_str(v2).unwrap();
-        assert_eq!(trace.root.gauge("occupancy"), Some(0.5));
-        assert_eq!(trace.root.children[0].counter("prune.checked"), Some(9));
-        assert_eq!(trace.root.thread, 0);
-        assert_eq!(trace.root.children[0].thread, 0);
-        // Round trip: upgrade to v3, parse back, identical tree.
-        let upgraded = trace.to_json_string();
-        assert!(upgraded.contains("\"schema\":\"cogent.trace.v3\""));
-        assert!(upgraded.contains("\"thread\":0"));
-        assert_eq!(PipelineTrace::from_json_str(&upgraded).unwrap(), trace);
-    }
-
-    #[test]
     fn fork_relays_worker_spans_in_index_order() {
         let trace = with_tracing(|| {
             let capture = Capture::start("search");
@@ -1155,10 +1091,10 @@ mod tests {
     #[test]
     fn from_json_rejects_inconsistent_histogram() {
         let bad = concat!(
-            r#"{"schema":"cogent.trace.v2","root":{"name":"g","#,
+            r#"{"schema":"cogent.trace.v3","root":{"name":"g","#,
             r#""start_ns":0,"duration_ns":1,"counters":{},"#,
             r#""histograms":{"h":{"count":5,"sum":9,"min":1,"max":8,"#,
-            r#""buckets":[[1,2]]}},"gauges":{},"children":[]}}"#,
+            r#""buckets":[[1,2]]}},"gauges":{},"thread":0,"children":[]}}"#,
         );
         let err = PipelineTrace::from_json_str(bad).unwrap_err();
         assert!(err.contains("bucket counts sum to 2"), "{err}");

@@ -13,20 +13,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use cogent::generator::codegen::{emit_backend_kernel, Backend};
+use cogent::generator::persist::fnv1a64;
 use cogent::prelude::*;
 
 const CORPUS: &str = "tests/golden/emit_hashes.txt";
-
-/// FNV-1a 64-bit — the same dependency-free hash `kir::lower` uses for
-/// kernel names.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Emits the full corpus and returns `(entry, backend) -> hash` in
 /// deterministic order.
@@ -42,7 +32,7 @@ fn current_corpus() -> BTreeMap<(String, String), u64> {
             let source = emit_backend_kernel(&g.plan, Precision::F64, backend);
             out.insert(
                 (entry.name.to_string(), backend.to_string()),
-                fnv1a(source.as_bytes()),
+                fnv1a64(source.as_bytes()),
             );
         }
     }

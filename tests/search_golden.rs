@@ -30,23 +30,15 @@ use std::fmt::Write as _;
 
 use cogent::generator::constraints::{check_config, PruneRules};
 use cogent::generator::cost::{paper_transaction_cost, transaction_cost};
+use cogent::generator::persist::fnv1a64;
 use cogent::generator::select::{search, SearchOptions};
 use cogent::generator::{enumerate_configs, EnumerationOptions};
 use cogent::prelude::*;
 
 const GOLDEN: &str = "tests/golden/search_hashes.txt";
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 fn hash(record: &str) -> String {
-    format!("{:016x}", fnv1a(record.as_bytes()))
+    format!("{:016x}", fnv1a64(record.as_bytes()))
 }
 
 /// The strict rules and the two relaxed rungs the search falls back to

@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use cogent::generator::guard::validate_generated;
+use cogent::generator::persist::fnv1a64;
 use cogent::generator::select::{search, SearchOptions};
 use cogent::prelude::*;
 use cogent::sim::trace::{trace_transactions, TraceOptions, TraceReport};
@@ -31,15 +32,6 @@ const SAMPLED_COUNTERS: [&str; 3] = [
     "trace.sampled.divergent_warps",
     "trace.sampled.oob_lane_skips",
 ];
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// The first [`CANDIDATES`] ranked configurations that lower and pass
 /// `validate_generated`, with their model ranks.
@@ -114,7 +106,7 @@ fn current_hashes() -> BTreeMap<String, String> {
                         }
                         out.insert(
                             format!("{} {label} {precision} {store:?} {sampling}", entry.name),
-                            format!("{:016x}", fnv1a(record.as_bytes())),
+                            format!("{:016x}", fnv1a64(record.as_bytes())),
                         );
                     }
                 }
