@@ -18,6 +18,16 @@ run() {
 }
 
 run cargo build --release $OFFLINE
+# Every vendored stand-in must be a dependency of a default member: one
+# that nothing reaches is dead code the workspace still builds.
+reachable=$(cargo tree $OFFLINE -e normal,dev,build --prefix none)
+for manifest in vendor/*/Cargo.toml; do
+    name=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)
+    if ! grep -q "^$name v.*(.*/vendor/" <<<"$reachable"; then
+        echo "vendored package $name (${manifest%/Cargo.toml}) is not reachable from any default member" >&2
+        exit 1
+    fi
+done
 run cargo test -q --workspace $OFFLINE
 # Determinism sweep under both thread settings: serial and chunked
 # parallel search must emit byte-identical kernels for every TCCG entry.

@@ -5,7 +5,7 @@ use cogent_gpu_model::{GpuDevice, Precision};
 use cogent_ir::{Contraction, ContractionAnalysis, SizeMap};
 
 /// A simulated end-to-end measurement of one framework on one contraction.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
     /// Predicted wall-clock seconds for the whole contraction (including
     /// any transposes the strategy performs).

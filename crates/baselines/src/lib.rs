@@ -12,21 +12,17 @@
 //!   tiling heuristics and no model-driven search;
 //! * [`tc`] — a Tensor-Comprehensions-like genetic autotuner over the raw
 //!   (unpruned) mapping space, evaluating candidates on the simulator;
-//! * [`naive`] — a one-thread-per-output direct kernel, the sanity floor;
-//! * [`batched_gemm`] — a strided-batched-GEMM engine after Shi et al.
-//!   (§VI related work), direct for canonical layouts, TTGT otherwise.
+//! * [`naive`] — a one-thread-per-output direct kernel, the sanity floor.
 //!
 //! All engines produce a [`Measurement`]; [`measure_cogent`] wraps the
 //! COGENT generator with the same interface.
 
-pub mod batched_gemm;
 pub mod engine;
 pub mod naive;
 pub mod nwchem;
 pub mod tc;
 pub mod ttgt;
 
-pub use batched_gemm::BatchedGemmEngine;
 pub use engine::{measure_cogent, Measurement};
 pub use naive::NaiveDirect;
 pub use nwchem::NwchemLikeGenerator;

@@ -20,7 +20,7 @@ use crate::engine::Measurement;
 
 /// One point of the tuning trace: the best configuration found after
 /// `evaluations` kernel evaluations.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Kernel evaluations (code versions) tried so far.
     pub evaluations: usize,
@@ -29,7 +29,7 @@ pub struct TracePoint {
 }
 
 /// Result of one autotuning run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcResult {
     /// Performance of TC's untuned default mapping (the paper: "<1 GFLOP").
     pub untuned: Measurement,

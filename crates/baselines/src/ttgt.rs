@@ -21,7 +21,7 @@ use crate::engine::Measurement;
 pub struct TtgtEngine;
 
 /// Detailed timing of one TTGT execution.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TtgtTiming {
     /// Seconds to permute `A` (0 when the permutation is the identity).
     pub transpose_a_s: f64,

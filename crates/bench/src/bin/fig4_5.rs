@@ -1,7 +1,8 @@
 //! Regenerates Fig. 4 (P100) / Fig. 5 (V100): double-precision GFLOPS of
 //! COGENT, the NWChem-like code generator and the TAL_SH-like TTGT engine
 //! on all 48 TCCG benchmarks, followed by the paper's headline geometric
-//! means.
+//! means. COGENT's generation times go to stderr, so the table on stdout
+//! is a pure function of the code.
 //!
 //! Usage: `cargo run -p cogent-bench --bin fig4_5 -- --device v100`
 
@@ -26,15 +27,15 @@ fn main() {
         device
     );
     println!(
-        "{:>3} {:<8} {:<9} {:<22} {:>9} {:>9} {:>9}  {:>8}",
-        "#", "name", "group", "contraction", "COGENT", "NWChem", "TAL_SH", "gen [s]"
+        "{:>3} {:<8} {:<9} {:<22} {:>9} {:>9} {:>9}",
+        "#", "name", "group", "contraction", "COGENT", "NWChem", "TAL_SH"
     );
 
     let mut rows = Vec::new();
     for entry in &entries {
         let row = run_fig45_entry(entry, &device);
         println!(
-            "{:>3} {:<8} {:<9} {:<22} {} {} {}  {:>8.3}",
+            "{:>3} {:<8} {:<9} {:<22} {} {} {}",
             entry.id,
             entry.name,
             entry.group.to_string(),
@@ -42,8 +43,8 @@ fn main() {
             fmt_gflops(&row.cogent),
             fmt_gflops(&row.nwchem),
             fmt_gflops(&row.talsh),
-            row.generation_s,
         );
+        eprintln!("{}: generated in {:.3} s", entry.name, row.generation_s);
         rows.push(row);
     }
 
@@ -92,15 +93,15 @@ fn main() {
         .map(|r| r.cogent.gflops / r.talsh.gflops)
         .fold(0.0f64, f64::max);
     println!("  max speedup: vs NWChem {max_nw:.1}x, vs TAL_SH {max_ts:.1}x");
-    println!(
-        "  total COGENT generation time for {} benchmarks: {:.2} s",
+    eprintln!(
+        "total COGENT generation time for {} benchmarks: {:.2} s",
         rows.len(),
         rows.iter().map(|r| r.generation_s).sum::<f64>()
     );
 
     let trace_path = std::path::Path::new("results/fig4_5_traces.jsonl");
     match cogent_bench::write_trace_jsonl(trace_path) {
-        Ok(n) if n > 0 => println!("  wrote {n} pipeline traces to {}", trace_path.display()),
+        Ok(n) if n > 0 => eprintln!("wrote {n} pipeline traces to {}", trace_path.display()),
         Ok(_) => {}
         Err(e) => eprintln!("could not write {}: {e}", trace_path.display()),
     }

@@ -43,9 +43,7 @@ pub type MappedIndex = (IndexName, usize);
 /// assert_eq!(plan.num_blocks(), 2 * 4 * 2 * 4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(
-    Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KernelConfig {
     /// External indices mapped on thread-block X (`l_TBx`), fastest first.
     pub tbx: Vec<MappedIndex>,

@@ -16,7 +16,7 @@ use crate::cost::num_thread_blocks;
 use crate::intern::{ConfigDims, SearchTables};
 
 /// Why a configuration was pruned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PruneReason {
     /// Shared memory for the two staged tiles exceeds the per-block limit.
     SharedMemoryExceeded,
@@ -102,7 +102,7 @@ impl std::fmt::Display for PruneReason {
 }
 
 /// Tunable pruning thresholds.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PruneRules {
     /// Minimum threads per block (one warp by default).
     pub min_threads: usize,

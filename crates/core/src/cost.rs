@@ -21,7 +21,7 @@ use crate::config::KernelConfig;
 use crate::intern::{ConfigDims, SearchTables};
 
 /// Per-tensor cost split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostBreakdown {
     /// Estimated transactions to load `A` over the whole launch.
     pub load_a: u128,

@@ -68,7 +68,7 @@ pub fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
 }
 
 /// A configuration together with its modelled cost.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankedConfig {
     /// The kernel configuration.
     pub config: KernelConfig,
@@ -77,7 +77,7 @@ pub struct RankedConfig {
 }
 
 /// Statistics and results of one model-driven search.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// The normalized contraction the configurations refer to.
     pub contraction: Contraction,

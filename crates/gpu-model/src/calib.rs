@@ -59,11 +59,6 @@ pub const TRANSPOSE_EFF_FVI_CHANGED: f64 = 0.45;
 /// is scaled by `run_bytes / transaction_bytes` down to this floor.
 pub const TRANSPOSE_MIN_EFFICIENCY: f64 = 0.08;
 
-/// Per-element cost (relative to one FLOP) of the index arithmetic in a
-/// *naive* one-thread-per-element kernel with no staging. Used only by the
-/// sanity-floor baseline.
-pub const NAIVE_KERNEL_ADDRESS_OVERHEAD: f64 = 6.0;
-
 /// Efficiency loss applied per `__syncthreads()`-separated stage relative
 /// to an ideal pipeline; multiplies compute efficiency as
 /// `1 / (1 + SYNC_OVERHEAD * stages_per_element)`.

@@ -5,7 +5,7 @@ use std::fmt;
 use crate::debug_text::DebugStruct;
 
 /// Floating-point precision of a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// IEEE binary32 (`float`). Used for the Tensor Comprehensions
     /// comparison (Figs. 6–8).
@@ -38,7 +38,7 @@ impl fmt::Display for Precision {
 ///
 /// Fields are public: this is a passive, C-style data record describing
 /// hardware; presets are provided for the paper's two evaluation platforms.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuDevice {
     /// Marketing name, e.g. `"Tesla V100"`.
     pub name: String,
@@ -114,27 +114,6 @@ impl GpuDevice {
         }
     }
 
-    /// The Nvidia A100 (Ampere, 108 SMs) — not part of the paper's
-    /// evaluation, provided to show the models generalize to newer parts.
-    pub fn a100() -> Self {
-        Self {
-            name: "A100".to_owned(),
-            sm_count: 108,
-            peak_gflops_f64: 9_700.0,
-            peak_gflops_f32: 19_500.0,
-            dram_bandwidth_gbs: 1_555.0,
-            smem_per_block_bytes: 48 * 1024,
-            smem_per_sm_bytes: 164 * 1024,
-            registers_per_sm: 64 * 1024,
-            max_registers_per_thread: 255,
-            max_threads_per_sm: 2048,
-            max_threads_per_block: 1024,
-            max_blocks_per_sm: 32,
-            warp_size: 32,
-            transaction_bytes: 128,
-        }
-    }
-
     /// The inverse of `format!("{device:?}")`, the device text a kernel
     /// cache key stores.
     ///
@@ -173,11 +152,6 @@ impl GpuDevice {
     pub fn max_warps_per_sm(&self) -> usize {
         self.max_threads_per_sm / self.warp_size
     }
-
-    /// Elements of the given precision per memory transaction.
-    pub fn elements_per_transaction(&self, precision: Precision) -> usize {
-        self.transaction_bytes / precision.bytes()
-    }
 }
 
 impl fmt::Display for GpuDevice {
@@ -212,13 +186,13 @@ mod tests {
     fn transaction_granularity() {
         let v = GpuDevice::v100();
         // The paper: 128 bytes = 16 double-precision elements.
-        assert_eq!(v.elements_per_transaction(Precision::F64), 16);
-        assert_eq!(v.elements_per_transaction(Precision::F32), 32);
+        assert_eq!(v.transaction_bytes / Precision::F64.bytes(), 16);
+        assert_eq!(v.transaction_bytes / Precision::F32.bytes(), 32);
     }
 
     #[test]
     fn debug_text_reads_back() {
-        for device in [GpuDevice::p100(), GpuDevice::v100(), GpuDevice::a100()] {
+        for device in [GpuDevice::p100(), GpuDevice::v100()] {
             let text = format!("{device:?}");
             assert_eq!(GpuDevice::from_debug_text(&text), Ok(device));
         }
@@ -228,14 +202,6 @@ mod tests {
     #[test]
     fn warps_per_sm() {
         assert_eq!(GpuDevice::v100().max_warps_per_sm(), 64);
-    }
-
-    #[test]
-    fn a100_extends_the_lineup() {
-        let a = GpuDevice::a100();
-        assert!(a.dram_bandwidth_gbs > GpuDevice::v100().dram_bandwidth_gbs);
-        assert!(a.peak_gflops_f64 > GpuDevice::v100().peak_gflops_f64);
-        assert_eq!(a.sm_count, 108);
     }
 
     #[test]

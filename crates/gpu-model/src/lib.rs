@@ -3,7 +3,7 @@
 //! The paper evaluates generated CUDA kernels on Nvidia P100 (Pascal) and
 //! V100 (Volta) GPUs. This reproduction has no GPU, so the crate provides
 //! the synthetic equivalent: device descriptions ([`GpuDevice`]), a CUDA
-//! occupancy calculator ([`occupancy()`]), a 128-byte DRAM transaction model
+//! occupancy calculator ([`occupancy()`]), a DRAM bandwidth model
 //! ([`memory`]), cuBLAS-like and cuTT-like timing models used by the TTGT
 //! baseline ([`gemm_model`], [`transpose_model`]), and a roofline-style
 //! kernel time predictor ([`roofline`]).

@@ -1,31 +1,7 @@
-//! Global-memory transaction and bandwidth models.
+//! Global-memory bandwidth model.
 
 use crate::calib;
 use crate::device::GpuDevice;
-
-/// Number of aligned 128-byte transactions needed by one warp-wide access
-/// in which `threads` consecutive threads read `elem_bytes`-byte elements
-/// whose addresses are grouped into contiguous runs of `run_len` elements,
-/// with consecutive runs separated by `stride_bytes`.
-///
-/// This is the primitive the address tracer and the analytic cost model
-/// both reduce to: fully coalesced access (`run_len * elem_bytes >= 128`)
-/// costs one transaction per 128 bytes; scattered access costs one
-/// transaction per run (at least).
-pub fn transactions_for_strided_access(
-    device: &GpuDevice,
-    threads: usize,
-    run_len: usize,
-    elem_bytes: usize,
-) -> usize {
-    if threads == 0 || run_len == 0 {
-        return 0;
-    }
-    let run_len = run_len.min(threads);
-    let runs = threads.div_ceil(run_len);
-    let bytes_per_run = run_len * elem_bytes;
-    runs * bytes_per_run.div_ceil(device.transaction_bytes)
-}
 
 /// Achievable DRAM bandwidth (GB/s) at a given occupancy fraction.
 ///
@@ -52,44 +28,6 @@ mod tests {
 
     fn v100() -> GpuDevice {
         GpuDevice::v100()
-    }
-
-    #[test]
-    fn fully_coalesced_f64() {
-        // 32 threads × 8 bytes contiguous = 256 bytes = 2 transactions.
-        assert_eq!(transactions_for_strided_access(&v100(), 32, 32, 8), 2);
-    }
-
-    #[test]
-    fn fully_coalesced_f32() {
-        // 32 threads × 4 bytes contiguous = 128 bytes = 1 transaction.
-        assert_eq!(transactions_for_strided_access(&v100(), 32, 32, 4), 1);
-    }
-
-    #[test]
-    fn short_runs_cost_one_transaction_each() {
-        // Runs of 4 doubles (32 B): 8 runs → 8 transactions.
-        assert_eq!(transactions_for_strided_access(&v100(), 32, 4, 8), 8);
-    }
-
-    #[test]
-    fn fully_scattered() {
-        // Run length 1: every thread its own transaction.
-        assert_eq!(transactions_for_strided_access(&v100(), 32, 1, 8), 32);
-    }
-
-    #[test]
-    fn run_longer_than_warp_is_clamped() {
-        assert_eq!(
-            transactions_for_strided_access(&v100(), 16, 64, 8),
-            transactions_for_strided_access(&v100(), 16, 16, 8)
-        );
-    }
-
-    #[test]
-    fn zero_cases() {
-        assert_eq!(transactions_for_strided_access(&v100(), 0, 4, 8), 0);
-        assert_eq!(transactions_for_strided_access(&v100(), 4, 0, 8), 0);
     }
 
     #[test]

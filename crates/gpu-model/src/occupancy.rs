@@ -4,7 +4,7 @@ use crate::device::GpuDevice;
 
 /// Per-block resource usage of a kernel, the inputs to the occupancy
 /// calculation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockResources {
     /// Threads per block.
     pub threads: usize,
@@ -15,7 +15,7 @@ pub struct BlockResources {
 }
 
 /// Result of the occupancy calculation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Occupancy {
     /// Blocks resident per SM.
     pub blocks_per_sm: usize,
@@ -28,7 +28,7 @@ pub struct Occupancy {
 }
 
 /// The resource that bounds how many blocks fit on an SM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Limiter {
     /// Thread capacity (or the per-SM block cap).
     Threads,

@@ -12,7 +12,7 @@ use crate::memory;
 use crate::occupancy::Occupancy;
 
 /// Everything the roofline needs to know about one kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelProfile {
     /// Total floating-point operations.
     pub flops: u128,
@@ -34,7 +34,7 @@ pub struct KernelProfile {
 }
 
 /// Predicted execution time and its components.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeBreakdown {
     /// Time the FP pipelines need, seconds.
     pub compute_s: f64,

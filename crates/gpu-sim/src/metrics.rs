@@ -10,7 +10,7 @@ use crate::plan::KernelPlan;
 use crate::trace::{trace_transactions, TraceOptions, TraceReport};
 
 /// Complete simulation result for one kernel plan on one device.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Traced DRAM transactions.
     pub trace: TraceReport,
@@ -53,16 +53,6 @@ pub struct SimReport {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn simulate(plan: &KernelPlan, device: &GpuDevice, precision: Precision) -> SimReport {
-    simulate_with(plan, device, precision, TraceOptions::default())
-}
-
-/// [`simulate`] with explicit trace sampling options.
-pub fn simulate_with(
-    plan: &KernelPlan,
-    device: &GpuDevice,
-    precision: Precision,
-    options: TraceOptions,
-) -> SimReport {
     let _span = cogent_obs::span("simulate");
     let threads = plan.threads_per_block();
     let smem = plan.smem_bytes(precision.bytes());
@@ -83,7 +73,7 @@ pub fn simulate_with(
             store_c: 0,
         }
     } else {
-        trace_transactions(plan, device, precision, options)
+        trace_transactions(plan, device, precision, TraceOptions::default())
     };
     let profile = KernelProfile {
         flops: plan.padded_flops(),

@@ -14,9 +14,7 @@ use std::fmt;
 use cogent_ir::{Contraction, ContractionAnalysis, IndexClass, IndexName};
 
 /// How the kernel writes its output.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StoreMode {
     /// `C = A * B`: overwrite the output (Algorithm 1 as written).
     #[default]
@@ -28,7 +26,7 @@ pub enum StoreMode {
 }
 
 /// The hardware dimension a loop index is mapped to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MapDim {
     /// `threadIdx.x` — external indices of the input holding the output
     /// FVI (`l_TBx` in the paper).
@@ -74,7 +72,7 @@ impl fmt::Display for MapDim {
 }
 
 /// One loop index's extent, tile size and mapping.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexBinding {
     /// The loop index.
     pub name: IndexName,

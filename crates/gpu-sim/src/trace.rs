@@ -62,7 +62,7 @@ impl TraceOptions {
 }
 
 /// Traced DRAM transaction counts for one kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceReport {
     /// Transactions loading tiles of `A` (whole launch).
     pub load_a: u128,

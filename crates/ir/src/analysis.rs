@@ -13,7 +13,7 @@ use crate::index::IndexName;
 use crate::size::SizeMap;
 
 /// Which of the three tensors a statement refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TensorRole {
     /// The output tensor `C`.
     C,
@@ -29,7 +29,7 @@ impl TensorRole {
 }
 
 /// Classification of a loop index by the set of tensors it occurs in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexClass {
     /// External index shared by `A` and `C` — a reuse dimension for `B`.
     ExternalA,

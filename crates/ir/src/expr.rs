@@ -22,7 +22,7 @@ use crate::index::IndexName;
 /// assert_eq!(a.fvi().as_str(), "a");
 /// assert!(a.contains("e"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TensorRef {
     name: Box<str>,
     indices: Vec<IndexName>,
@@ -163,7 +163,7 @@ impl fmt::Display for TensorRef {
 /// assert_eq!(tc.internal_indices().len(), 2); // e, f
 /// # Ok::<(), cogent_ir::ValidateContractionError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Contraction {
     c: TensorRef,
     a: TensorRef,

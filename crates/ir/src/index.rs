@@ -18,9 +18,7 @@ use std::fmt;
 /// assert_eq!(a.as_str(), "a");
 /// assert_eq!(a.to_string(), "a");
 /// ```
-#[derive(
-    Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IndexName(Box<str>);
 
 impl IndexName {

@@ -24,7 +24,7 @@ use crate::index::IndexName;
 /// assert_eq!(sizes.linear_size(tc.a()), Some(24usize.pow(4)));
 /// # Ok::<(), cogent_ir::ParseContractionError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SizeMap {
     extents: BTreeMap<IndexName, usize>,
 }

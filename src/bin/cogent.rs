@@ -23,6 +23,7 @@
 //! `COGENT_CACHE_CAP` sizes the kernel cache used by `batch` and
 //! `explain`. Neither changes the emitted kernels.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -34,7 +35,8 @@ use cogent::sim::plan::StoreMode;
 
 /// A CLI failure, classified for the exit code: `2` for malformed
 /// invocations (bad flags, sizes, devices — one-line diagnostic), `1` for
-/// runtime failures (generation errors, I/O — diagnostic plus usage).
+/// runtime failures (generation errors, I/O — diagnostic plus usage), `0`
+/// for a stdout whose reader went away (nothing printed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct CliError {
     message: String,
@@ -71,6 +73,21 @@ impl From<&str> for CliError {
     }
 }
 
+/// A failed write to stdout. A closed pipe (`cogent suite | head -1`) is
+/// not a failure: the command stops and the process exits 0 silently.
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            Self {
+                message: String::new(),
+                exit: 0,
+            }
+        } else {
+            CliError::runtime(format!("writing stdout: {e}"))
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `--trace-out` is stripped before dispatch (its value would otherwise
@@ -90,7 +107,9 @@ fn main() -> ExitCode {
     }
     let capture = (env_on || trace_out.is_some())
         .then(|| cogent::obs::Capture::start(&format!("cogent {}", args.join(" "))));
-    let result = run(&args);
+    // Every command writes its stdout through this one handle.
+    let mut stdout = std::io::stdout();
+    let result = run(&args, &mut stdout).and_then(|()| stdout.flush().map_err(CliError::from));
     if let Some(trace) = capture.and_then(cogent::obs::Capture::finish) {
         match trace_out.as_deref() {
             Some(path) if path != "-" => match std::fs::write(path, trace.to_json_string()) {
@@ -105,6 +124,7 @@ fn main() -> ExitCode {
     }
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.exit == 0 => ExitCode::SUCCESS,
         Err(e) if e.exit == 2 => {
             eprintln!("cogent: {}", e.message);
             ExitCode::from(2)
@@ -158,22 +178,22 @@ pipeline trace to stderr, COGENT_THREADS to parallelize the search,
 COGENT_CACHE_CAP to size the kernel cache (0 disables it), and
 COGENT_CACHE_DIR to persist the serve cache across restarts";
 
-fn run(args: &[String]) -> Result<(), CliError> {
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     validate_env()?;
     let command = args.first().ok_or("missing command")?;
     let rest = &args[1..];
     match command.as_str() {
-        "generate" => cmd_generate(rest),
-        "search" => cmd_search(rest),
-        "batch" => cmd_batch(rest),
-        "bench" => cmd_bench(rest),
-        "explain" => cmd_explain(rest),
-        "profile" => cmd_profile(rest),
-        "stats" => cmd_stats(rest),
-        "audit" => cmd_audit(rest),
-        "suite" => cmd_suite(rest),
+        "generate" => cmd_generate(rest, out),
+        "search" => cmd_search(rest, out),
+        "batch" => cmd_batch(rest, out),
+        "bench" => cmd_bench(rest, out),
+        "explain" => cmd_explain(rest, out),
+        "profile" => cmd_profile(rest, out),
+        "stats" => cmd_stats(rest, out),
+        "audit" => cmd_audit(rest, out),
+        "suite" => cmd_suite(rest, out),
         "serve" => cmd_serve(rest),
-        "flight" => cmd_flight(rest),
+        "flight" => cmd_flight(rest, out),
         other => Err(CliError::runtime(format!("unknown command {other:?}"))),
     }
 }
@@ -310,7 +330,7 @@ fn parse_backend(args: &[String]) -> Result<Backend, CliError> {
     Ok(Backend::Cuda)
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), CliError> {
+fn cmd_generate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let tc = parse_contraction(args)?;
     let sizes = parse_sizes(args, &tc)?;
     let device = parse_device(args)?;
@@ -360,12 +380,12 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
             std::fs::write(path, source).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
-        None => println!("{source}"),
+        None => writeln!(out, "{source}")?,
     }
     Ok(())
 }
 
-fn cmd_search(args: &[String]) -> Result<(), CliError> {
+fn cmd_search(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let tc = parse_contraction(args)?;
     let sizes = parse_sizes(args, &tc)?;
     let device = parse_device(args)?;
@@ -380,7 +400,8 @@ fn cmd_search(args: &[String]) -> Result<(), CliError> {
         ..SearchOptions::default()
     };
     let outcome = search(&tc, &sizes, &device, precision, &options);
-    println!(
+    writeln!(
+        out,
         "raw space {} | enumerated {} | survivors {} ({:.1}% pruned{})",
         outcome.raw_space,
         outcome.enumerated,
@@ -391,24 +412,26 @@ fn cmd_search(args: &[String]) -> Result<(), CliError> {
         } else {
             ""
         },
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<4} {:>14} {:>10}  configuration",
         "#", "model cost", "GFLOPS"
-    );
+    )?;
     for (rank, r) in outcome.ranked.iter().enumerate() {
         let plan = r
             .config
             .lower(&outcome.contraction, &sizes)
             .map_err(|e| format!("{e}"))?;
         let report = cogent::sim::simulate(&plan, &device, precision);
-        println!(
+        writeln!(
+            out,
             "{:<4} {:>14} {:>10.1}  {}",
             rank + 1,
             r.cost.total(),
             report.gflops,
             r.config
-        );
+        )?;
     }
     Ok(())
 }
@@ -450,6 +473,58 @@ fn group_tag(group: cogent::tccg::BenchGroup) -> &'static str {
     }
 }
 
+/// The TCCG entries `--group` selects: all of them without the flag.
+///
+/// # Errors
+///
+/// A usage error when the tag names no group (every group has entries).
+fn suite_entries(args: &[String]) -> Result<Vec<cogent::tccg::TccgEntry>, CliError> {
+    let entries = cogent::tccg::suite();
+    let Some(tag) = flag_value(args, "--group") else {
+        return Ok(entries);
+    };
+    let picked: Vec<_> = entries
+        .into_iter()
+        .filter(|e| group_tag(e.group) == tag)
+        .collect();
+    if picked.is_empty() {
+        return Err(CliError::usage(format!(
+            "unknown group {tag:?} (want ml|aomo|ccsd|ccsdt)"
+        )));
+    }
+    Ok(picked)
+}
+
+/// The `(label, contraction, sizes)` jobs of `batch`, `stats` and
+/// `audit`: the `--group`-filtered suite when `--suite` is given (at the
+/// entry's own sizes unless `--size`/`--sizes` override them), then each
+/// positional spec, labelled by `spec_label`.
+fn collect_jobs(
+    args: &[String],
+    spec_label: fn(&str) -> String,
+) -> Result<Vec<(String, Contraction, SizeMap)>, CliError> {
+    let explicit_sizes = has_flag(args, "--size") || has_flag(args, "--sizes");
+    let mut jobs = Vec::new();
+    if has_flag(args, "--suite") {
+        for entry in suite_entries(args)? {
+            let tc = entry.contraction();
+            let sizes = if explicit_sizes {
+                parse_sizes(args, &tc)?
+            } else {
+                entry.sizes()
+            };
+            jobs.push((entry.name.to_string(), tc, sizes));
+        }
+    }
+    for spec in positional_specs(args) {
+        let tc = cogent::ir::parse::parse_allowing_batch(spec)
+            .map_err(|e| CliError::usage(format!("{e}")))?;
+        let sizes = parse_sizes(args, &tc)?;
+        jobs.push((spec_label(spec), tc, sizes));
+    }
+    Ok(jobs)
+}
+
 /// Positional (non-flag) tokens, skipping every value that belongs to a
 /// flag in [`VALUE_FLAGS`].
 fn positional_specs(args: &[String]) -> Vec<&str> {
@@ -489,34 +564,10 @@ fn spec_file_stem(spec: &str) -> String {
 /// Generates kernels for a slate of contractions — positional specs, the
 /// TCCG suite (`--suite`, optionally `--group`-filtered), or both —
 /// through one shared cache and one `generate_many` thread pool.
-fn cmd_batch(args: &[String]) -> Result<(), CliError> {
+fn cmd_batch(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let device = parse_device(args)?;
     let precision = parse_precision(args);
-    let explicit_sizes = has_flag(args, "--size") || has_flag(args, "--sizes");
-
-    // (label, contraction, sizes) per job.
-    let mut jobs: Vec<(String, Contraction, SizeMap)> = Vec::new();
-    if has_flag(args, "--suite") {
-        let group = flag_value(args, "--group");
-        for entry in cogent::tccg::suite() {
-            if group.is_some_and(|g| g != group_tag(entry.group)) {
-                continue;
-            }
-            let tc = entry.contraction();
-            let sizes = if explicit_sizes {
-                parse_sizes(args, &tc)?
-            } else {
-                entry.sizes()
-            };
-            jobs.push((entry.name.to_string(), tc, sizes));
-        }
-    }
-    for spec in positional_specs(args) {
-        let tc = cogent::ir::parse::parse_allowing_batch(spec)
-            .map_err(|e| CliError::usage(format!("{e}")))?;
-        let sizes = parse_sizes(args, &tc)?;
-        jobs.push((spec_file_stem(spec), tc, sizes));
-    }
+    let jobs = collect_jobs(args, spec_file_stem)?;
     if jobs.is_empty() {
         return Err(CliError::usage(
             "nothing to generate: pass contractions and/or --suite",
@@ -553,10 +604,11 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     for ((label, _, sizes), result) in jobs.iter().zip(&results) {
         match result {
             Ok(kernel) => {
-                println!(
+                writeln!(
+                    out,
                     "ok    {label:<24} {:>8.1} GFLOPS at {sizes}",
                     kernel.report.gflops
-                );
+                )?;
                 if let Some(dir) = out_dir {
                     let path = format!("{dir}/{label}.cu");
                     std::fs::write(&path, &kernel.cuda_source)
@@ -565,7 +617,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
             }
             Err(e) => {
                 failures += 1;
-                println!("fail  {label:<24} {e}");
+                writeln!(out, "fail  {label:<24} {e}")?;
             }
         }
     }
@@ -592,26 +644,29 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> Result<(), CliError> {
+fn cmd_bench(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let tc = parse_contraction(args)?;
     let sizes = parse_sizes(args, &tc)?;
     let device = parse_device(args)?;
-    println!("{tc} at {sizes} on {device} (FP64, simulated)");
+    writeln!(out, "{tc} at {sizes} on {device} (FP64, simulated)")?;
     let cogent = measure_cogent(&tc, &sizes, &device, Precision::F64);
-    println!("  COGENT          {:>10.1} GFLOPS", cogent.gflops);
+    writeln!(out, "  COGENT          {:>10.1} GFLOPS", cogent.gflops)?;
     let nwchem = NwchemLikeGenerator::new().measure(&tc, &sizes, &device, Precision::F64);
-    println!("  NWChem-like     {:>10.1} GFLOPS", nwchem.gflops);
+    writeln!(out, "  NWChem-like     {:>10.1} GFLOPS", nwchem.gflops)?;
     if tc.batch_indices().is_empty() {
         let talsh = TtgtEngine::new().measure(&tc, &sizes, &device, Precision::F64);
-        println!("  TAL_SH (TTGT)   {:>10.1} GFLOPS", talsh.gflops);
+        writeln!(out, "  TAL_SH (TTGT)   {:>10.1} GFLOPS", talsh.gflops)?;
     } else {
-        println!("  TAL_SH (TTGT)   skipped (batch indices unsupported by TTGT)");
+        writeln!(
+            out,
+            "  TAL_SH (TTGT)   skipped (batch indices unsupported by TTGT)"
+        )?;
     }
     Ok(())
 }
 
-fn cmd_explain(args: &[String]) -> Result<(), CliError> {
-    println!("{}", explain_report(args)?);
+fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    writeln!(out, "{}", explain_report(args)?)?;
     Ok(())
 }
 
@@ -683,8 +738,8 @@ fn explain_report(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn cmd_profile(args: &[String]) -> Result<(), CliError> {
-    print!("{}", profile_report(args)?);
+fn cmd_profile(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    write!(out, "{}", profile_report(args)?)?;
     Ok(())
 }
 
@@ -763,33 +818,10 @@ fn profile_report(args: &[String]) -> Result<String, CliError> {
 /// with tracing forced on, then prints a Prometheus-style text exposition
 /// of the process-global metrics registry — every counter, histogram
 /// quantile and gauge recorded by any worker thread.
-fn cmd_stats(args: &[String]) -> Result<(), CliError> {
+fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let device = parse_device(args)?;
     let precision = parse_precision(args);
-    let explicit_sizes = has_flag(args, "--size") || has_flag(args, "--sizes");
-
-    let mut jobs: Vec<(String, Contraction, SizeMap)> = Vec::new();
-    if has_flag(args, "--suite") {
-        let group = flag_value(args, "--group");
-        for entry in cogent::tccg::suite() {
-            if group.is_some_and(|g| g != group_tag(entry.group)) {
-                continue;
-            }
-            let tc = entry.contraction();
-            let sizes = if explicit_sizes {
-                parse_sizes(args, &tc)?
-            } else {
-                entry.sizes()
-            };
-            jobs.push((entry.name.to_string(), tc, sizes));
-        }
-    }
-    for spec in positional_specs(args) {
-        let tc = cogent::ir::parse::parse_allowing_batch(spec)
-            .map_err(|e| CliError::usage(format!("{e}")))?;
-        let sizes = parse_sizes(args, &tc)?;
-        jobs.push((spec.to_string(), tc, sizes));
-    }
+    let jobs = collect_jobs(args, str::to_string)?;
     if jobs.is_empty() {
         return Err(CliError::usage(
             "nothing to measure: pass contractions and/or --suite",
@@ -825,10 +857,11 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             eprintln!("fail  {label:<24} {e}");
         }
     }
-    print!(
+    write!(
+        out,
         "{}",
         cogent::obs::render_prometheus(&cogent::obs::metrics_snapshot())
-    );
+    )?;
     if failures > 0 {
         return Err(CliError::runtime(format!(
             "{failures} of {} generations failed",
@@ -842,10 +875,9 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
 /// each contraction, the model's top-K configurations are measured and
 /// summarized as relative-error percentiles, Spearman rank correlation,
 /// and the regret of the model's pick (see `cogent::generator::audit`).
-fn cmd_audit(args: &[String]) -> Result<(), CliError> {
+fn cmd_audit(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let device = parse_device(args)?;
     let precision = parse_precision(args);
-    let explicit_sizes = has_flag(args, "--size") || has_flag(args, "--sizes");
     let top: usize = flag_value(args, "--top")
         .unwrap_or("8")
         .parse()
@@ -871,28 +903,7 @@ fn cmd_audit(args: &[String]) -> Result<(), CliError> {
     }
     let args = &args[..];
 
-    let mut jobs: Vec<(String, Contraction, SizeMap)> = Vec::new();
-    if has_flag(args, "--suite") {
-        let group = flag_value(args, "--group");
-        for entry in cogent::tccg::suite() {
-            if group.is_some_and(|g| g != group_tag(entry.group)) {
-                continue;
-            }
-            let tc = entry.contraction();
-            let sizes = if explicit_sizes {
-                parse_sizes(args, &tc)?
-            } else {
-                entry.sizes()
-            };
-            jobs.push((entry.name.to_string(), tc, sizes));
-        }
-    }
-    for spec in positional_specs(args) {
-        let tc = cogent::ir::parse::parse_allowing_batch(spec)
-            .map_err(|e| CliError::usage(format!("{e}")))?;
-        let sizes = parse_sizes(args, &tc)?;
-        jobs.push((spec.to_string(), tc, sizes));
-    }
+    let jobs = collect_jobs(args, str::to_string)?;
     if jobs.is_empty() {
         return Err(CliError::usage(
             "nothing to audit: pass contractions and/or --suite",
@@ -915,9 +926,9 @@ fn cmd_audit(args: &[String]) -> Result<(), CliError> {
     }
     let report = cogent::generator::AuditReport::from_contractions(top, audits);
     if has_flag(args, "--json") {
-        println!("{}", report.to_json());
+        writeln!(out, "{}", report.to_json())?;
     } else {
-        print!("{}", report.render_text());
+        write!(out, "{}", report.render_text())?;
     }
     Ok(())
 }
@@ -987,7 +998,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 /// Analyzes a `cogent.flight.v1` dump (from `--flight-dir` or
 /// `GET /v1/debug/flight`): tables the slowest requests with phase
 /// attribution, then merges every timeline into one phase profile.
-fn cmd_flight(args: &[String]) -> Result<(), CliError> {
+fn cmd_flight(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let path = args
         .iter()
         .find(|a| !a.starts_with('-'))
@@ -1005,17 +1016,18 @@ fn cmd_flight(args: &[String]) -> Result<(), CliError> {
     let mut records = cogent::obs::flight::parse_dump(&text)
         .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
     if records.is_empty() {
-        println!("flight dump {path}: no recorded requests");
+        writeln!(out, "flight dump {path}: no recorded requests")?;
         return Ok(());
     }
     records.sort_by_key(|r| std::cmp::Reverse(r.total_ns));
 
-    println!("flight dump {path}: {} request(s)", records.len());
-    println!();
-    println!(
+    writeln!(out, "flight dump {path}: {} request(s)", records.len())?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "{:<24} {:>4} {:<10} {:>12} {:>12} {:>12}  {:<5} slowest phase",
         "id", "code", "endpoint", "total_ms", "queue_ms", "search_ms", "cache"
-    );
+    )?;
     for record in records.iter().take(top) {
         let ms = |ns: u64| ns as f64 / 1e6;
         let profile = cogent::obs::profile::PhaseProfile::from_trace(&record.to_trace());
@@ -1025,7 +1037,8 @@ fn cmd_flight(args: &[String]) -> Result<(), CliError> {
             .max_by_key(|p| p.total_ns)
             .map(|p| format!("{} ({:.1}ms)", p.name, p.total_ns as f64 / 1e6))
             .unwrap_or_else(|| "-".to_string());
-        println!(
+        writeln!(
+            out,
             "{:<24} {:>4} {:<10} {:>12.2} {:>12.2} {:>12.2}  {:<5} {}",
             record.id,
             record.status,
@@ -1035,10 +1048,14 @@ fn cmd_flight(args: &[String]) -> Result<(), CliError> {
             ms(record.search_ns),
             record.cache,
             slowest
-        );
+        )?;
     }
     if records.len() > top {
-        println!("... {} more (raise --top to see them)", records.len() - top);
+        writeln!(
+            out,
+            "... {} more (raise --top to see them)",
+            records.len() - top
+        )?;
     }
 
     let mut merged: Option<cogent::obs::profile::PhaseProfile> = None;
@@ -1050,23 +1067,20 @@ fn cmd_flight(args: &[String]) -> Result<(), CliError> {
         }
     }
     if let Some(merged) = merged {
-        println!();
-        println!(
+        writeln!(out)?;
+        writeln!(
+            out,
             "--- merged phase attribution ({} requests) ---",
             records.len()
-        );
-        print!("{}", merged.render_table());
+        )?;
+        write!(out, "{}", merged.render_table())?;
     }
     Ok(())
 }
 
-fn cmd_suite(args: &[String]) -> Result<(), CliError> {
-    let group = flag_value(args, "--group");
-    for entry in cogent::tccg::suite() {
-        if group.is_some_and(|g| g != group_tag(entry.group)) {
-            continue;
-        }
-        println!("{entry}  ({:.2} GFLOP)", entry.flops() as f64 / 1e9);
+fn cmd_suite(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    for entry in suite_entries(args)? {
+        writeln!(out, "{entry}  ({:.2} GFLOP)", entry.flops() as f64 / 1e9)?;
     }
     Ok(())
 }
@@ -1160,8 +1174,8 @@ mod tests {
 
     #[test]
     fn run_rejects_unknown_command() {
-        assert!(run(&s(&["frobnicate"])).is_err());
-        assert!(run(&s(&[])).is_err());
+        assert!(run(&s(&["frobnicate"]), &mut Vec::new()).is_err());
+        assert!(run(&s(&[]), &mut Vec::new()).is_err());
     }
 
     /// Malformed invocations classify as usage errors (exit 2) with the
@@ -1169,25 +1183,44 @@ mod tests {
     #[test]
     fn errors_classify_by_exit_code() {
         // "j=" splits into ("j", "") — an empty, unparsable extent.
-        let e = run(&s(&["generate", "ij-ik-kj", "--sizes", "i=4,j="])).unwrap_err();
+        let e = run(
+            &s(&["generate", "ij-ik-kj", "--sizes", "i=4,j="]),
+            &mut Vec::new(),
+        )
+        .unwrap_err();
         assert_eq!(e.exit, 2);
         assert_eq!(e.message, "bad extent \"\" for index j");
 
         // "j" has no '=' at all — a malformed entry.
-        let e = run(&s(&["generate", "ij-ik-kj", "--sizes", "i=4,j"])).unwrap_err();
+        let e = run(
+            &s(&["generate", "ij-ik-kj", "--sizes", "i=4,j"]),
+            &mut Vec::new(),
+        )
+        .unwrap_err();
         assert_eq!(e.exit, 2);
         assert_eq!(e.message, "bad size entry \"j\" (want index=extent)");
 
-        let e = run(&s(&["generate", "ij-ik-kj", "--sizes", "i=4,j=x,k=4"])).unwrap_err();
+        let e = run(
+            &s(&["generate", "ij-ik-kj", "--sizes", "i=4,j=x,k=4"]),
+            &mut Vec::new(),
+        )
+        .unwrap_err();
         assert_eq!(e.exit, 2);
         assert_eq!(e.message, "bad extent \"x\" for index j");
 
-        let e = run(&s(&["generate", "ij-ik-kj", "--device", "h100"])).unwrap_err();
+        let e = run(
+            &s(&["generate", "ij-ik-kj", "--device", "h100"]),
+            &mut Vec::new(),
+        )
+        .unwrap_err();
         assert_eq!(e.exit, 2);
         assert_eq!(e.message, "unknown device \"h100\" (want v100 or p100)");
 
         // Runtime failures (here: unknown command) keep exit 1.
-        assert_eq!(run(&s(&["frobnicate"])).unwrap_err().exit, 1);
+        assert_eq!(
+            run(&s(&["frobnicate"]), &mut Vec::new()).unwrap_err().exit,
+            1
+        );
     }
 
     #[test]
@@ -1270,22 +1303,25 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         let path_s = path.to_str().unwrap().to_string();
 
-        assert!(cmd_flight(&s(&[&path_s])).is_ok());
-        assert!(cmd_flight(&s(&[&path_s, "--top", "1"])).is_ok());
-        let e = cmd_flight(&s(&[&path_s, "--top", "0"])).unwrap_err();
+        assert!(cmd_flight(&s(&[&path_s]), &mut Vec::new()).is_ok());
+        assert!(cmd_flight(&s(&[&path_s, "--top", "1"]), &mut Vec::new()).is_ok());
+        let e = cmd_flight(&s(&[&path_s, "--top", "0"]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2);
 
         std::fs::write(&path, "{\"schema\":\"bogus\"}").unwrap();
-        assert!(cmd_flight(&s(&[&path_s])).is_err());
+        assert!(cmd_flight(&s(&[&path_s]), &mut Vec::new()).is_err());
         let _ = std::fs::remove_file(&path);
 
-        let e = cmd_flight(&s(&[])).unwrap_err();
+        let e = cmd_flight(&s(&[]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2, "missing dump argument is a usage error");
     }
 
     #[test]
     fn suite_command_runs() {
-        assert!(cmd_suite(&s(&["--group", "ccsdt"])).is_ok());
+        let mut out = Vec::new();
+        cmd_suite(&s(&["--group", "ccsdt"]), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 18, "{text}");
     }
 
     #[test]
@@ -1326,7 +1362,7 @@ mod tests {
             "-o",
             &dir_s,
         ]);
-        cmd_batch(&args).unwrap();
+        cmd_batch(&args, &mut Vec::new()).unwrap();
         assert!(dir.join("ij-ik-kj.cu").exists());
         assert!(dir.join("abc-bda-dc.cu").exists());
         let src = std::fs::read_to_string(dir.join("ij-ik-kj.cu")).unwrap();
@@ -1336,14 +1372,14 @@ mod tests {
 
     #[test]
     fn batch_without_jobs_is_a_usage_error() {
-        let e = cmd_batch(&s(&["--size", "8"])).unwrap_err();
+        let e = cmd_batch(&s(&["--size", "8"]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2);
         assert!(e.message.contains("nothing to generate"));
     }
 
     #[test]
     fn batch_rejects_bad_threads() {
-        let e = cmd_batch(&s(&["ij-ik-kj", "--threads", "zero"])).unwrap_err();
+        let e = cmd_batch(&s(&["ij-ik-kj", "--threads", "zero"]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2);
     }
 
@@ -1375,30 +1411,39 @@ mod tests {
     #[test]
     fn audit_command_reports_fidelity() {
         // Ad-hoc spec path (no suite): must succeed and print a table.
-        assert!(cmd_audit(&s(&["ij-ik-kj", "--size", "24", "--top", "3"])).is_ok());
+        assert!(cmd_audit(
+            &s(&["ij-ik-kj", "--size", "24", "--top", "3"]),
+            &mut Vec::new()
+        )
+        .is_ok());
         // JSON mode on the same contraction.
-        assert!(cmd_audit(&s(&["ij-ik-kj", "--size", "24", "--top", "3", "--json"])).is_ok());
+        assert!(cmd_audit(
+            &s(&["ij-ik-kj", "--size", "24", "--top", "3", "--json"]),
+            &mut Vec::new()
+        )
+        .is_ok());
     }
 
     #[test]
     fn audit_suite_name_is_consumed_not_parsed_as_spec() {
         // "--suite tccg" with a group filter: the word "tccg" must not be
         // treated as a contraction spec.
-        assert!(cmd_audit(&s(&[
-            "--suite", "tccg", "--group", "ml", "--size", "8", "--top", "2"
-        ]))
+        assert!(cmd_audit(
+            &s(&["--suite", "tccg", "--group", "ml", "--size", "8", "--top", "2"]),
+            &mut Vec::new()
+        )
         .is_ok());
-        let e = cmd_audit(&s(&["--suite", "gett", "--top", "2"])).unwrap_err();
+        let e = cmd_audit(&s(&["--suite", "gett", "--top", "2"]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2);
         assert!(e.message.contains("unknown suite"));
     }
 
     #[test]
     fn audit_without_jobs_or_bad_top_is_a_usage_error() {
-        let e = cmd_audit(&s(&["--top", "4"])).unwrap_err();
+        let e = cmd_audit(&s(&["--top", "4"]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2);
         assert!(e.message.contains("nothing to audit"));
-        let e = cmd_audit(&s(&["ij-ik-kj", "--top", "0"])).unwrap_err();
+        let e = cmd_audit(&s(&["ij-ik-kj", "--top", "0"]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2);
     }
 
@@ -1479,14 +1524,14 @@ mod tests {
     #[test]
     fn stats_without_jobs_is_a_usage_error() {
         let _tracing = tracing_lock();
-        let e = cmd_stats(&s(&["--size", "8"])).unwrap_err();
+        let e = cmd_stats(&s(&["--size", "8"]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2);
         assert!(e.message.contains("nothing to measure"));
     }
 
     #[test]
     fn bench_command_runs_small() {
-        assert!(cmd_bench(&s(&["ij-ik-kj", "--size", "128"])).is_ok());
+        assert!(cmd_bench(&s(&["ij-ik-kj", "--size", "128"]), &mut Vec::new()).is_ok());
     }
 
     /// Every pipeline phase must show up as a span line in the rendered

@@ -1,8 +1,9 @@
 //! Golden tests for CLI failure behavior: malformed invocations must
 //! produce a one-line `cogent: ...` diagnostic on stderr and exit with
-//! code 2 — never a panic, never a backtrace.
+//! code 2 — never a panic, never a backtrace. A stdout whose reader has
+//! gone away is not a failure at all.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn cogent(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_cogent"))
@@ -58,6 +59,52 @@ fn incomplete_sizes_exits_2() {
         stderr,
         "cogent: --sizes does not cover every contraction index\n"
     );
+}
+
+#[test]
+fn unknown_group_exits_2_for_every_suite_command() {
+    for command in [
+        &["suite", "--group", "bogus"][..],
+        &["batch", "--suite", "--group", "bogus"],
+        &["stats", "--suite", "--group", "bogus"],
+        &["audit", "--suite", "--group", "bogus"],
+    ] {
+        let out = cogent(command);
+        assert_eq!(out.status.code(), Some(2), "{command:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(
+            stderr, "cogent: unknown group \"bogus\" (want ml|aomo|ccsd|ccsdt)\n",
+            "{command:?}"
+        );
+        assert!(out.stdout.is_empty(), "{command:?}");
+    }
+}
+
+#[test]
+fn closed_stdout_exits_0_silently() {
+    for command in [
+        &["suite"][..],
+        &["search", "ij-ik-kj", "--size", "16"],
+        &["generate", "ij-ik-kj", "--size", "16"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("creating a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_cogent"))
+            .args(command)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawning the cogent binary");
+        assert_eq!(out.status.code(), Some(0), "{command:?}");
+        // Nothing beyond the command's usual stderr (empty for `suite` and
+        // `search`; `generate` reports its kernel there before printing it).
+        let usual = cogent(command);
+        assert_eq!(
+            String::from_utf8(out.stderr).unwrap(),
+            String::from_utf8(usual.stderr).unwrap(),
+            "{command:?}"
+        );
+    }
 }
 
 #[test]
