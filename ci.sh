@@ -28,6 +28,17 @@ for manifest in vendor/*/Cargo.toml; do
         exit 1
     fi
 done
+# Every cogent-* dependency a crate declares must be named by one of its
+# sources: one that no .rs file uses only lengthens the build graph.
+for manifest in crates/*/Cargo.toml; do
+    crate=${manifest%/Cargo.toml}
+    for dep in $(grep -o '^cogent-[a-z-]*' "$manifest"); do
+        if ! grep -rqw --include='*.rs' "${dep//-/_}" "$crate"; then
+            echo "$crate declares $dep, but none of its .rs files names ${dep//-/_}" >&2
+            exit 1
+        fi
+    done
+done
 run cargo test -q --workspace $OFFLINE
 # Determinism sweep under both thread settings: serial and chunked
 # parallel search must emit byte-identical kernels for every TCCG entry.

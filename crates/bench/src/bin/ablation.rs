@@ -12,6 +12,11 @@
 //!
 //! Usage: `cargo run --release -p cogent-bench --bin ablation`
 
+use std::error::Error;
+use std::io::Write;
+use std::process::ExitCode;
+
+use cogent_bench::run_figure;
 use cogent_core::select::{search, SearchOptions};
 use cogent_core::Cogent;
 use cogent_gpu_model::{GpuDevice, Precision};
@@ -34,7 +39,11 @@ fn gflops_of_rank(
     flops / report.time.total_s / 1e9
 }
 
-fn main() {
+fn main() -> ExitCode {
+    run_figure("ablation", figure)
+}
+
+fn figure(_args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let device = GpuDevice::v100();
     let benches = [
         ("eq1_4d", "abcd-aebf-dfce", 48usize),
@@ -42,13 +51,14 @@ fn main() {
         ("ttm_3d", "abc-acd-db", 152),
     ];
 
-    println!("Ablation study on {} (FP64)\n", device);
+    writeln!(out, "Ablation study on {} (FP64)\n", device)?;
 
-    println!("--- cost-model ranking quality (simulated GFLOPS) ---");
-    println!(
+    writeln!(out, "--- cost-model ranking quality (simulated GFLOPS) ---")?;
+    writeln!(
+        out,
         "{:<8} {:>10} {:>10} {:>10} {:>14}",
         "bench", "model #1", "median", "worst", "oracle(top64)"
-    );
+    )?;
     for (name, spec, n) in benches {
         let tc: Contraction = spec.parse().unwrap();
         let sizes = SizeMap::uniform(&tc, n);
@@ -64,14 +74,21 @@ fn main() {
         let oracle = (0..k.min(64))
             .map(|r| gflops_of_rank(&outcome, &sizes, &device, r))
             .fold(0.0f64, f64::max);
-        println!("{name:<8} {best:>10.1} {median:>10.1} {worst:>10.1} {oracle:>14.1}");
+        writeln!(
+            out,
+            "{name:<8} {best:>10.1} {median:>10.1} {worst:>10.1} {oracle:>14.1}"
+        )?;
     }
 
-    println!("\n--- pruning-rule ablation (survivors / picked GFLOPS) ---");
-    println!(
+    writeln!(
+        out,
+        "\n--- pruning-rule ablation (survivors / picked GFLOPS) ---"
+    )?;
+    writeln!(
+        out,
         "{:<8} {:>18} {:>18} {:>18} {:>18}",
         "bench", "all rules", "no FVI rule", "no min-blocks", "no occupancy"
-    );
+    )?;
     for (name, spec, n) in benches {
         let tc: Contraction = spec.parse().unwrap();
         let sizes = SizeMap::uniform(&tc, n);
@@ -88,14 +105,15 @@ fn main() {
             let g = gflops_of_rank(&outcome, &sizes, &device, 0);
             row.push_str(&format!(" {:>9}/{:>8.1}", outcome.survivors, g));
         }
-        println!("{row}");
+        writeln!(out, "{row}")?;
     }
 
-    println!("\n--- simulator refinement depth (picked GFLOPS) ---");
-    println!(
+    writeln!(out, "\n--- simulator refinement depth (picked GFLOPS) ---")?;
+    writeln!(
+        out,
         "{:<8} {:>9} {:>9} {:>9}",
         "bench", "refine=1", "refine=4", "refine=16"
-    );
+    )?;
     for (name, spec, n) in benches {
         let tc: Contraction = spec.parse().unwrap();
         let sizes = SizeMap::uniform(&tc, n);
@@ -109,6 +127,7 @@ fn main() {
             row.push_str(&format!(" {gf:>9.1}"));
             eprintln!("{name} refine={k}: generated in {elapsed:.2} s");
         }
-        println!("{row}");
+        writeln!(out, "{row}")?;
     }
+    Ok(())
 }

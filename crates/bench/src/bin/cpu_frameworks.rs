@@ -6,9 +6,12 @@
 //!
 //! Usage: `cargo run --release -p cogent-bench --bin cpu_frameworks [--quick]`
 
+use std::error::Error;
+use std::io::Write;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use cogent_bench::quick_mode;
+use cogent_bench::{quick_mode, run_figure};
 use cogent_ir::{Contraction, ContractionAnalysis, SizeMap};
 use cogent_tensor::gett::GettPlan;
 use cogent_tensor::reference::{contract_reference, random_inputs};
@@ -29,9 +32,12 @@ fn time_gflops(flops: f64, mut f: impl FnMut()) -> f64 {
 /// (name, TCCG spec, extents).
 type Case = (&'static str, &'static str, Vec<(&'static str, usize)>);
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let shrink = if quick_mode(&args) { 2 } else { 1 };
+fn main() -> ExitCode {
+    run_figure("cpu_frameworks", figure)
+}
+
+fn figure(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let shrink = if quick_mode(args) { 2 } else { 1 };
 
     let cases: Vec<Case> = vec![
         (
@@ -80,11 +86,15 @@ fn main() {
         ),
     ];
 
-    println!("host CPU contraction kernels — measured GFLOPS (single thread)");
-    println!(
+    writeln!(
+        out,
+        "host CPU contraction kernels — measured GFLOPS (single thread)"
+    )?;
+    writeln!(
+        out,
         "{:<8} {:<22} {:>10} {:>10} {:>10}",
         "bench", "contraction", "reference", "TTGT", "GETT"
-    );
+    )?;
     for (name, spec, size_pairs) in cases {
         let tc: Contraction = spec.parse().unwrap();
         let sizes = SizeMap::from_pairs(size_pairs.iter().copied());
@@ -102,7 +112,11 @@ fn main() {
         let g = time_gflops(flops, || {
             std::hint::black_box(gett_plan.execute(&a, &b));
         });
-        println!("{name:<8} {spec:<22} {r:>10.3} {t:>10.3} {g:>10.3}");
+        writeln!(out, "{name:<8} {spec:<22} {r:>10.3} {t:>10.3} {g:>10.3}")?;
     }
-    println!("\n(the direct approaches avoid the transposition traffic the paper's §II motivates)");
+    writeln!(
+        out,
+        "\n(the direct approaches avoid the transposition traffic the paper's §II motivates)"
+    )?;
+    Ok(())
 }

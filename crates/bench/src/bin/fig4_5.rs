@@ -6,35 +6,47 @@
 //!
 //! Usage: `cargo run -p cogent-bench --bin fig4_5 -- --device v100`
 
-use cogent_bench::{fmt_gflops, geomean, parse_device, quick_mode, run_fig45_entry};
+use std::error::Error;
+use std::io::Write;
+use std::process::ExitCode;
+
+use cogent_bench::{
+    fmt_gflops, geomean, parse_device, quick_mode, run_fig45_entry, run_figure, Fig45Row,
+};
 use cogent_tccg::{suite, BenchGroup};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let device = parse_device(&args);
+fn main() -> ExitCode {
+    run_figure("fig4_5", figure)
+}
+
+fn figure(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let device = parse_device(args)?;
     // Per-benchmark pipeline traces land next to the printed table as
     // JSON lines (results/fig4_5_traces.jsonl).
     cogent_obs::set_enabled(true);
     let entries = suite();
-    let entries: Vec<_> = if quick_mode(&args) {
+    let entries: Vec<_> = if quick_mode(args) {
         entries.into_iter().step_by(6).collect()
     } else {
         entries
     };
 
-    println!(
+    writeln!(
+        out,
         "TCCG benchmark, FP64, on {} — simulated GFLOPS (higher is better)",
         device
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>3} {:<8} {:<9} {:<22} {:>9} {:>9} {:>9}",
         "#", "name", "group", "contraction", "COGENT", "NWChem", "TAL_SH"
-    );
+    )?;
 
     let mut rows = Vec::new();
     for entry in &entries {
         let row = run_fig45_entry(entry, &device);
-        println!(
+        writeln!(
+            out,
             "{:>3} {:<8} {:<9} {:<22} {} {} {}",
             entry.id,
             entry.name,
@@ -42,47 +54,44 @@ fn main() {
             entry.spec,
             fmt_gflops(&row.cogent),
             fmt_gflops(&row.nwchem),
-            fmt_gflops(&row.talsh),
-        );
+            fmt_gflops(&row.talsh)
+        )?;
         eprintln!("{}: generated in {:.3} s", entry.name, row.generation_s);
         rows.push(row);
     }
 
-    let summarize = |label: &str, filter: &dyn Fn(&BenchGroup) -> bool| {
-        let cg: Vec<f64> = rows
-            .iter()
-            .filter(|r| filter(&r.entry.group))
-            .map(|r| r.cogent.gflops)
-            .collect();
-        if cg.is_empty() {
-            return;
+    writeln!(out, "\nSummary ({}):", device.name)?;
+    let mut summarize = |label: &str, filter: &dyn Fn(&BenchGroup) -> bool| {
+        let geomean_of = |gflops: fn(&Fig45Row) -> f64| {
+            let picked: Vec<f64> = rows
+                .iter()
+                .filter(|r| filter(&r.entry.group))
+                .map(gflops)
+                .collect();
+            geomean(&picked)
+        };
+        let cg = geomean_of(|r| r.cogent.gflops);
+        if cg.is_nan() {
+            return Ok(());
         }
-        let nw: Vec<f64> = rows
-            .iter()
-            .filter(|r| filter(&r.entry.group))
-            .map(|r| r.nwchem.gflops)
-            .collect();
-        let ts: Vec<f64> = rows
-            .iter()
-            .filter(|r| filter(&r.entry.group))
-            .map(|r| r.talsh.gflops)
-            .collect();
-        println!(
+        let nw = geomean_of(|r| r.nwchem.gflops);
+        let ts = geomean_of(|r| r.talsh.gflops);
+        writeln!(
+            out,
             "  {label:<12} geomean GFLOPS: COGENT {:8.1}  NWChem {:8.1}  TAL_SH {:8.1}   speedup vs NWChem {:4.2}x, vs TAL_SH {:4.2}x",
-            geomean(&cg),
-            geomean(&nw),
-            geomean(&ts),
-            geomean(&cg) / geomean(&nw),
-            geomean(&cg) / geomean(&ts),
-        );
+            cg,
+            nw,
+            ts,
+            cg / nw,
+            cg / ts,
+        )
     };
 
-    println!("\nSummary ({}):", device.name);
-    summarize("all 48", &|_| true);
-    summarize("ML", &|g| *g == BenchGroup::MachineLearning);
-    summarize("AO-MO", &|g| *g == BenchGroup::AoToMo);
-    summarize("CCSD", &|g| *g == BenchGroup::Ccsd);
-    summarize("CCSD(T)", &|g| *g == BenchGroup::CcsdT);
+    summarize("all 48", &|_| true)?;
+    summarize("ML", &|g| *g == BenchGroup::MachineLearning)?;
+    summarize("AO-MO", &|g| *g == BenchGroup::AoToMo)?;
+    summarize("CCSD", &|g| *g == BenchGroup::Ccsd)?;
+    summarize("CCSD(T)", &|g| *g == BenchGroup::CcsdT)?;
 
     let max_nw = rows
         .iter()
@@ -92,7 +101,10 @@ fn main() {
         .iter()
         .map(|r| r.cogent.gflops / r.talsh.gflops)
         .fold(0.0f64, f64::max);
-    println!("  max speedup: vs NWChem {max_nw:.1}x, vs TAL_SH {max_ts:.1}x");
+    writeln!(
+        out,
+        "  max speedup: vs NWChem {max_nw:.1}x, vs TAL_SH {max_ts:.1}x"
+    )?;
     eprintln!(
         "total COGENT generation time for {} benchmarks: {:.2} s",
         rows.len(),
@@ -105,4 +117,5 @@ fn main() {
         Ok(_) => {}
         Err(e) => eprintln!("could not write {}: {e}", trace_path.display()),
     }
+    Ok(())
 }

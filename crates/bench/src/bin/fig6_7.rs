@@ -8,17 +8,23 @@
 //!
 //! Usage: `cargo run --release -p cogent-bench --bin fig6_7 -- --device v100 [--quick]`
 
+use std::error::Error;
+use std::io::Write;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use cogent_baselines::{measure_cogent, TcAutotuner};
-use cogent_bench::{geomean, parse_device, quick_mode, with_published_trace};
+use cogent_bench::{geomean, parse_device, quick_mode, run_figure, with_published_trace};
 use cogent_gpu_model::Precision;
 use cogent_tccg::sd2_entries;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let device = parse_device(&args);
-    let quick = quick_mode(&args);
+fn main() -> ExitCode {
+    run_figure("fig6_7", figure)
+}
+
+fn figure(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let device = parse_device(args)?;
+    let quick = quick_mode(args);
     // COGENT's per-contraction pipeline traces go to results/ as JSONL.
     cogent_obs::set_enabled(true);
 
@@ -28,14 +34,16 @@ fn main() {
         tuner.generations = 5;
     }
 
-    println!(
+    writeln!(
+        out,
         "SD2 CCSD(T) contractions, FP32, on {} — COGENT vs Tensor Comprehensions",
         device
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<7} {:<22} {:>10} {:>12} {:>12} {:>12}",
         "name", "contraction", "COGENT", "TC (tuned)", "TC (untuned)", "tune evals"
-    );
+    )?;
 
     let mut cogent_all = Vec::new();
     let mut tc_all = Vec::new();
@@ -48,26 +56,28 @@ fn main() {
         });
         let gen_s = start.elapsed().as_secs_f64();
         let tuned = tuner.tune(&tc_expr, &sizes, &device, Precision::F32);
-        println!(
+        writeln!(
+            out,
             "{:<7} {:<22} {:>10.1} {:>12.1} {:>12.3} {:>12}",
             entry.name,
             entry.spec,
             cogent.gflops,
             tuned.tuned.gflops,
             tuned.untuned.gflops,
-            tuned.evaluations,
-        );
+            tuned.evaluations
+        )?;
         eprintln!("{}: generated in {gen_s:.3} s", entry.name);
         cogent_all.push(cogent.gflops);
         tc_all.push(tuned.tuned.gflops);
     }
 
-    println!(
+    writeln!(
+        out,
         "\ngeomean GFLOPS: COGENT {:.1}, TC tuned {:.1} → COGENT is {:.2}x faster with no autotuning",
         geomean(&cogent_all),
         geomean(&tc_all),
         geomean(&cogent_all) / geomean(&tc_all),
-    );
+    )?;
 
     let trace_path = std::path::Path::new("results/fig6_7_traces.jsonl");
     match cogent_bench::write_trace_jsonl(trace_path) {
@@ -75,4 +85,5 @@ fn main() {
         Ok(_) => {}
         Err(e) => eprintln!("could not write {}: {e}", trace_path.display()),
     }
+    Ok(())
 }

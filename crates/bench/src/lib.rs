@@ -9,7 +9,10 @@
 //! | `fig8`          | Fig. 8: TC best-so-far GFLOPS vs autotuning iterations on SD2_1 |
 //! | `pruning_stats` | §IV statistics: raw space size, enumerated/pruned counts |
 
+use std::error::Error;
+use std::io::{self, Write};
 use std::path::Path;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use cogent_baselines::{measure_cogent, Measurement, NwchemLikeGenerator, TtgtEngine};
@@ -26,20 +29,48 @@ pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / n as f64).exp()
 }
 
+/// Runs the figure binary `name`: `figure` gets the arguments and the
+/// process's one stdout writer. A closed stdout (`fig4_5 | head -3`) ends
+/// the run with exit 0 and nothing on stderr; another write error exits
+/// 1; any other error is a usage error, printed as `<name>: <message>`
+/// with exit 2.
+pub fn run_figure(
+    name: &str,
+    figure: impl FnOnce(&[String], &mut dyn Write) -> Result<(), Box<dyn Error>>,
+) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
+    let Err(e) = figure(&args, &mut out).and_then(|()| Ok(out.flush()?)) else {
+        return ExitCode::SUCCESS;
+    };
+    match e.downcast_ref::<io::Error>() {
+        Some(io) if io.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Some(io) => {
+            eprintln!("{name}: writing stdout: {io}");
+            ExitCode::FAILURE
+        }
+        None => {
+            eprintln!("{name}: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
 /// Parses `--device p100|v100` from an argument list (defaults to V100).
-pub fn parse_device(args: &[String]) -> GpuDevice {
+///
+/// # Errors
+///
+/// The usage message for any other device name.
+pub fn parse_device(args: &[String]) -> Result<GpuDevice, String> {
     match args
         .iter()
         .position(|a| a == "--device")
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
     {
-        Some("p100") => GpuDevice::p100(),
-        Some("v100") | None => GpuDevice::v100(),
-        Some(other) => {
-            eprintln!("unknown device {other:?}, using v100");
-            GpuDevice::v100()
-        }
+        Some("p100") => Ok(GpuDevice::p100()),
+        Some("v100") | None => Ok(GpuDevice::v100()),
+        Some(other) => Err(format!("unknown device {other:?} (want v100 or p100)")),
     }
 }
 
@@ -142,10 +173,15 @@ mod tests {
 
     #[test]
     fn parse_device_flags() {
-        let p = parse_device(&["--device".into(), "p100".into()]);
+        let p = parse_device(&["--device".into(), "p100".into()]).unwrap();
         assert_eq!(p.sm_count, 56);
-        let v = parse_device(&[]);
+        let v = parse_device(&[]).unwrap();
         assert_eq!(v.sm_count, 80);
+        let h = parse_device(&["--device".into(), "h100".into()]);
+        assert_eq!(
+            h.unwrap_err(),
+            "unknown device \"h100\" (want v100 or p100)"
+        );
     }
 
     #[test]

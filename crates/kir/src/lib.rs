@@ -25,12 +25,12 @@
 //! interpreter and/or the structural lint.
 //!
 //! On top of the lowered tree sits the optimization layer:
-//! [`pass::PassManager`] runs layout-changing rewrites (vectorized
-//! staging, shared-memory padding, double buffering) expressed through
-//! the [`layout`] algebra, and [`traffic::estimate_traffic`] predicts
-//! each variant's warp-level global-memory requests, bank-conflict
-//! replays and barrier count — the numbers the `cogent audit` benefit
-//! gate compares.
+//! [`pass::PassManager`] runs rewrites of the tree (vectorized staging,
+//! shared-memory padding re-pitched through a [`SymLayout`], double
+//! buffering), and [`traffic::estimate_traffic`] predicts each
+//! variant's warp-level global-memory requests, bank-conflict replays
+//! and barrier count — the numbers the `cogent audit` benefit gate
+//! compares.
 
 pub mod ast;
 pub mod error;
@@ -50,7 +50,7 @@ pub use ast::{
 pub use error::KirError;
 pub use fault::apply_exec_faults;
 pub use interp::{interpret, interpret_plan};
-pub use layout::{Layout, SymLayout, SymMode};
+pub use layout::{SymLayout, SymMode};
 pub use lint::{lint_kernel_program, IrLintReport};
 pub use lower::{kernel_name, lower_to_kir};
 pub use pass::{pipeline_from_names, Pass, PassManager, PassOutcome, PassReport};

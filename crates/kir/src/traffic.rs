@@ -30,6 +30,7 @@ use std::collections::HashMap;
 
 use cogent_gpu_sim::plan::MapDim;
 use cogent_ir::IndexName;
+use cogent_tensor::Layout;
 
 use crate::ast::{BindingMeta, KernelProgram};
 use crate::error::KirError;
@@ -87,24 +88,11 @@ fn classes(of: &[&BindingMeta]) -> Vec<Class> {
     out
 }
 
-/// Mixed-radix digits of `p` over `tiles`, first (fastest) mode first.
-fn digits(mut p: usize, tiles: &[usize]) -> Vec<usize> {
-    tiles
-        .iter()
-        .map(|&t| {
-            let t = t.max(1);
-            let d = p % t;
-            p /= t;
-            d
-        })
-        .collect()
-}
-
-/// Warp-level request count of one cooperative staging loop over a tile
-/// of `tiles` with per-mode availabilities `avails`. `vwidth == 0` is
+/// Warp-level request count of one cooperative staging loop over the
+/// packed `tile` with per-mode availabilities `avails`. `vwidth == 0` is
 /// the scalar loop; otherwise the vectorized loop on its aligned path.
-fn staging_requests(tiles: &[usize], avails: &[usize], threads: usize, vwidth: usize) -> u64 {
-    let elems: usize = tiles.iter().product();
+fn staging_requests(tile: &Layout, avails: &[usize], threads: usize, vwidth: usize) -> u64 {
+    let elems = tile.size();
     if elems == 0 || threads == 0 {
         return 0;
     }
@@ -120,7 +108,7 @@ fn staging_requests(tiles: &[usize], avails: &[usize], threads: usize, vwidth: u
                     if p >= elems {
                         continue;
                     }
-                    let d = digits(p, tiles);
+                    let d = tile.digits(p);
                     if d.iter().zip(avails).all(|(d, a)| d < a) {
                         any = true;
                     }
@@ -134,7 +122,7 @@ fn staging_requests(tiles: &[usize], avails: &[usize], threads: usize, vwidth: u
                     if p >= elems {
                         continue;
                     }
-                    let d = digits(p, tiles);
+                    let d = tile.digits(p);
                     let d0 = d.first().copied().unwrap_or(0);
                     let a0 = avails.first().copied().unwrap_or(0);
                     let rest_ok = d.iter().zip(avails).skip(1).all(|(d, a)| d < a);
@@ -232,14 +220,12 @@ pub fn estimate_traffic(prog: &KernelProgram) -> Result<TrafficReport, KirError>
         }
     };
     // Precomputed digit tables for every hardware coordinate.
-    let table = |n: usize, tiles: &[usize]| -> Vec<Vec<usize>> {
-        (0..n.max(1)).map(|v| digits(v, tiles)).collect()
+    let table = |g: &[&BindingMeta]| -> Vec<Vec<usize>> {
+        let tile = Layout::packed(&tiles_of(g));
+        (0..tile.size()).map(|v| tile.digits(v)).collect()
     };
-    let xdig = table(tbx, &tiles_of(&gx));
-    let ydig = table(tby, &tiles_of(&gy));
-    let rxdig = table(regx, &tiles_of(&grx));
-    let rydig = table(regy, &tiles_of(&gry));
-    let kdig = table(ktile, &tiles_of(&gk));
+    let (xdig, ydig) = (table(&gx), table(&gy));
+    let (rxdig, rydig, kdig) = (table(&grx), table(&gry), table(&gk));
     let coord_val = |c: Coord, tx: usize, ty: usize, rx: usize, ry: usize, j: usize| -> usize {
         match c {
             Coord::X(p) => xdig[tx].get(p).copied().unwrap_or(0),
@@ -256,26 +242,18 @@ pub fn estimate_traffic(prog: &KernelProgram) -> Result<TrafficReport, KirError>
     let ser_classes = classes(&gk);
     let mut tensor_info = Vec::new();
     for indices in [&prog.shapes.a, &prog.shapes.b] {
-        let mut tiles = Vec::new();
-        let mut names = Vec::new();
-        for idx in indices.iter() {
-            let b = bind(idx)?;
-            tiles.push(b.tile);
-            names.push(b.name.to_string());
-        }
-        let aligned = match indices.first() {
-            Some(first) => {
-                let b = bind(first)?;
-                meta.vec_width > 0 && b.extent % meta.vec_width == 0
-            }
-            None => false,
-        };
-        tensor_info.push((tiles, names, aligned));
+        let binds = indices.iter().map(&bind).collect::<Result<Vec<_>, _>>()?;
+        let tile = Layout::packed(&binds.iter().map(|b| b.tile).collect::<Vec<_>>());
+        let names: Vec<String> = binds.iter().map(|b| b.name.to_string()).collect();
+        let aligned = binds
+            .first()
+            .is_some_and(|b| meta.vec_width > 0 && b.extent % meta.vec_width == 0);
+        tensor_info.push((tile, names, aligned));
     }
     let mut load_requests = 0u64;
     for ec in &ext_classes {
         for sc in &ser_classes {
-            for (tiles, names, aligned) in &tensor_info {
+            for (tile, names, aligned) in &tensor_info {
                 let avails: Vec<usize> = names
                     .iter()
                     .map(|n| {
@@ -288,7 +266,7 @@ pub fn estimate_traffic(prog: &KernelProgram) -> Result<TrafficReport, KirError>
                     .collect();
                 let vwidth = if *aligned { meta.vec_width } else { 0 };
                 load_requests +=
-                    ec.mult * sc.mult * staging_requests(tiles, &avails, threads, vwidth);
+                    ec.mult * sc.mult * staging_requests(tile, &avails, threads, vwidth);
             }
         }
     }
@@ -330,35 +308,34 @@ pub fn estimate_traffic(prog: &KernelProgram) -> Result<TrafficReport, KirError>
         (&prog.shapes.a, regx.max(1), true),
         (&prog.shapes.b, regy.max(1), false),
     ] {
-        let padded = meta.smem_pad > 0 && indices.len() >= 2;
-        let mut coords = Vec::new();
-        let mut strides = Vec::new();
-        let mut stride = 1usize;
-        for (k, idx) in indices.iter().enumerate() {
-            let b = bind(idx)?;
-            coords.push(coord_of(b));
-            strides.push(stride);
-            let shape = if k == 0 && padded {
-                b.tile + meta.smem_pad
-            } else {
-                b.tile
-            };
-            stride *= shape;
+        let binds = indices.iter().map(&bind).collect::<Result<Vec<_>, _>>()?;
+        let coords: Vec<Coord> = binds.iter().map(|b| coord_of(b)).collect();
+        // The shared tile: packed over the tiles, the first mode's pitch
+        // padded when `smem-pad` applied.
+        let mut pitch: Vec<usize> = binds.iter().map(|b| b.tile).collect();
+        if meta.smem_pad > 0 && pitch.len() >= 2 {
+            pitch[0] += meta.smem_pad;
         }
+        let smem = Layout::new(
+            binds
+                .iter()
+                .map(|b| b.tile)
+                .zip(Layout::packed(&pitch).strides().iter().copied()),
+        );
+        let mut point = vec![0; coords.len()];
+        let mut addrs = Vec::with_capacity(WARP);
         for j in 0..ktile.max(1) {
             for r in 0..reg_iters {
                 let (rx, ry) = if use_rx { (r, 0) } else { (0, r) };
                 for w0 in (0..threads).step_by(WARP) {
-                    let addrs: Vec<usize> = (w0..(w0 + WARP).min(threads))
-                        .map(|l| {
-                            let (tx, ty) = (l % tbx.max(1), l / tbx.max(1));
-                            coords
-                                .iter()
-                                .zip(&strides)
-                                .map(|(c, s)| coord_val(*c, tx, ty, rx, ry, j) * s)
-                                .sum()
-                        })
-                        .collect();
+                    addrs.clear();
+                    for l in w0..(w0 + WARP).min(threads) {
+                        let (tx, ty) = (l % tbx.max(1), l / tbx.max(1));
+                        for (p, c) in point.iter_mut().zip(&coords) {
+                            *p = coord_val(*c, tx, ty, rx, ry, j);
+                        }
+                        addrs.push(smem.offset(&point));
+                    }
                     replays_per_step += replays(&addrs);
                 }
             }

@@ -27,11 +27,28 @@ pub struct DenseTensor<T> {
     data: Vec<T>,
 }
 
+/// The packed layout of a tensor with `extents`.
+///
+/// # Panics
+///
+/// Panics when `extents` is empty or any extent is zero.
+fn packed(extents: &[usize]) -> Layout {
+    assert!(
+        !extents.is_empty(),
+        "layout must have at least one dimension"
+    );
+    assert!(
+        extents.iter().all(|&e| e > 0),
+        "extents must be positive: {extents:?}"
+    );
+    Layout::packed(extents)
+}
+
 impl<T: Element> DenseTensor<T> {
     /// Creates a tensor filled with zeros.
     pub fn zeros(extents: &[usize]) -> Self {
-        let layout = Layout::column_major(extents);
-        let data = vec![T::ZERO; layout.len()];
+        let layout = packed(extents);
+        let data = vec![T::ZERO; layout.size()];
         Self { layout, data }
     }
 
@@ -39,15 +56,15 @@ impl<T: Element> DenseTensor<T> {
     /// for layout-sensitive tests: every element value encodes its storage
     /// position).
     pub fn sequential(extents: &[usize]) -> Self {
-        let layout = Layout::column_major(extents);
-        let data = (0..layout.len()).map(|i| T::from_f64(i as f64)).collect();
+        let layout = packed(extents);
+        let data = (0..layout.size()).map(|i| T::from_f64(i as f64)).collect();
         Self { layout, data }
     }
 
     /// Creates a tensor from a function of the coordinates.
     pub fn from_fn(extents: &[usize], mut f: impl FnMut(&[usize]) -> T) -> Self {
-        let layout = Layout::column_major(extents);
-        let mut data = Vec::with_capacity(layout.len());
+        let layout = packed(extents);
+        let mut data = Vec::with_capacity(layout.size());
         for coords in layout.iter_coords() {
             data.push(f(&coords));
         }
@@ -57,10 +74,10 @@ impl<T: Element> DenseTensor<T> {
     /// Creates a tensor with deterministic pseudo-random contents in
     /// `[-1, 1)`, seeded by `seed`.
     pub fn random(extents: &[usize], seed: u64) -> Self {
-        let layout = Layout::column_major(extents);
+        let layout = packed(extents);
         let mut rng = StdRng::seed_from_u64(seed);
         let dist = Uniform::new(-1.0f64, 1.0);
-        let data = (0..layout.len())
+        let data = (0..layout.size())
             .map(|_| T::from_f64(dist.sample(&mut rng)))
             .collect();
         Self { layout, data }
@@ -72,10 +89,10 @@ impl<T: Element> DenseTensor<T> {
     ///
     /// Panics when `data.len()` does not match the layout size.
     pub fn from_vec(extents: &[usize], data: Vec<T>) -> Self {
-        let layout = Layout::column_major(extents);
+        let layout = packed(extents);
         assert_eq!(
             data.len(),
-            layout.len(),
+            layout.size(),
             "data length does not match extents {extents:?}"
         );
         Self { layout, data }
@@ -239,6 +256,18 @@ mod tests {
         let mut t = DenseTensor::<f64>::zeros(&[2]);
         t.as_mut_slice()[1] = 3.0;
         assert_eq!(t.into_vec(), vec![0.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one dimension")]
+    fn empty_extents_panic() {
+        let _ = DenseTensor::<f64>::zeros(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "extents must be positive")]
+    fn zero_extent_panics() {
+        let _ = DenseTensor::<f64>::zeros(&[2, 0]);
     }
 
     #[test]

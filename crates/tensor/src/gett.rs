@@ -13,84 +13,50 @@
 //! second, independently-structured implementation to cross-check the
 //! TTGT pipeline and the reference contraction — all three must agree.
 
-use cogent_ir::{Contraction, IndexName, SizeMap};
+use cogent_ir::{Contraction, IndexName, SizeMap, TensorRef};
 
 use crate::dense::DenseTensor;
 use crate::element::Element;
 use crate::gemm::gemm;
+use crate::layout::Layout;
 
 /// Cache block sizes for the packed panels (elements).
 const MC: usize = 96;
 const NC: usize = 96;
 const KC: usize = 96;
 
-/// A flattened dimension group: the strides of its member indices within
-/// one tensor, plus the group's total extent.
-#[derive(Debug, Clone)]
-struct GroupView {
-    /// Extent of each member index (fastest first, in group order).
-    extents: Vec<usize>,
-    /// Stride of each member index inside the viewed tensor.
-    strides: Vec<usize>,
-}
-
-impl GroupView {
-    fn new(group: &[IndexName], tensor: &cogent_ir::TensorRef, sizes: &SizeMap) -> Self {
-        // Strides of the tensor's dims in storage order.
-        let mut stride = 1usize;
-        let mut by_name: Vec<(&IndexName, usize)> = Vec::with_capacity(tensor.rank());
-        for idx in tensor.indices() {
-            by_name.push((idx, stride));
-            stride *= sizes.extent_of(idx);
-        }
-        let strides = group
-            .iter()
-            .map(|g| {
-                by_name
-                    .iter()
-                    .find(|(n, _)| *n == g)
-                    .expect("group index belongs to tensor")
-                    .1
-            })
-            .collect();
-        Self {
-            extents: group.iter().map(|g| sizes.extent_of(g)).collect(),
-            strides,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.extents.iter().product()
-    }
-
-    /// Offset of flat group position `p` within the viewed tensor.
-    #[inline]
-    fn offset(&self, mut p: usize) -> usize {
-        let mut off = 0;
-        for (&e, &s) in self.extents.iter().zip(&self.strides) {
-            off += (p % e) * s;
-            p /= e;
-        }
-        off
-    }
+/// A flattened dimension group viewed inside one tensor: one
+/// `(extent, stride)` mode per member index, in group order, so that
+/// `apply(p)` is the offset of flat group position `p`.
+fn group_view(group: &[IndexName], tensor: &TensorRef, sizes: &SizeMap) -> Layout {
+    let extents: Vec<usize> = tensor
+        .indices()
+        .iter()
+        .map(|i| sizes.extent_of(i))
+        .collect();
+    let strides = Layout::packed(&extents).strides().to_vec();
+    Layout::new(group.iter().map(|g| {
+        let pos = tensor.position(g).expect("group index belongs to tensor");
+        (extents[pos], strides[pos])
+    }))
 }
 
 /// A GETT execution plan: the index groups and their per-tensor views.
 #[derive(Debug, Clone)]
 pub struct GettPlan {
     contraction: Contraction,
-    a_m: GroupView,
-    a_k: GroupView,
-    b_k: GroupView,
-    b_n: GroupView,
-    c_m: GroupView,
-    c_n: GroupView,
+    a_m: Layout,
+    a_k: Layout,
+    b_k: Layout,
+    b_n: Layout,
+    c_m: Layout,
+    c_n: Layout,
     m: usize,
     n: usize,
     k: usize,
     a_extents: Vec<usize>,
     b_extents: Vec<usize>,
-    c_len: usize,
+    c_extents: Vec<usize>,
 }
 
 impl GettPlan {
@@ -136,22 +102,22 @@ impl GettPlan {
             .collect();
         let k_group: Vec<IndexName> = tc.internal_indices().to_vec();
 
-        let a_m = GroupView::new(&m_group, tc.a(), sizes);
-        let a_k = GroupView::new(&k_group, tc.a(), sizes);
-        let b_k = GroupView::new(&k_group, tc.b(), sizes);
-        let b_n = GroupView::new(&n_group, tc.b(), sizes);
-        let c_m = GroupView::new(&m_group, tc.c(), sizes);
-        let c_n = GroupView::new(&n_group, tc.c(), sizes);
-        let extents_of = |t: &cogent_ir::TensorRef| -> Vec<usize> {
+        let a_m = group_view(&m_group, tc.a(), sizes);
+        let a_k = group_view(&k_group, tc.a(), sizes);
+        let b_k = group_view(&k_group, tc.b(), sizes);
+        let b_n = group_view(&n_group, tc.b(), sizes);
+        let c_m = group_view(&m_group, tc.c(), sizes);
+        let c_n = group_view(&n_group, tc.c(), sizes);
+        let extents_of = |t: &TensorRef| -> Vec<usize> {
             t.indices().iter().map(|i| sizes.extent_of(i)).collect()
         };
         Self {
-            m: a_m.len(),
-            n: b_n.len(),
-            k: a_k.len().max(1),
+            m: a_m.size(),
+            n: b_n.size(),
+            k: a_k.size().max(1),
             a_extents: extents_of(tc.a()),
             b_extents: extents_of(tc.b()),
-            c_len: extents_of(tc.c()).iter().product(),
+            c_extents: extents_of(tc.c()),
             contraction: tc.clone(),
             a_m,
             a_k,
@@ -188,34 +154,7 @@ impl GettPlan {
             &self.b_extents[..],
             "B shape mismatch"
         );
-        let tc = &self.contraction;
-        let c_extents: Vec<usize> = tc
-            .c()
-            .indices()
-            .iter()
-            .map(|i| {
-                // Recover the extent from the group views through C's own
-                // layout by rebuilding from m/n groups — simplest is to
-                // recompute via Layout on stored extents.
-                let pos_m = tc
-                    .external_indices()
-                    .iter()
-                    .filter(|x| tc.a().contains(x))
-                    .position(|x| x == i);
-                let pos_n = tc
-                    .external_indices()
-                    .iter()
-                    .filter(|x| tc.b().contains(x))
-                    .position(|x| x == i);
-                match (pos_m, pos_n) {
-                    (Some(p), _) => self.a_m.extents[p],
-                    (_, Some(p)) => self.b_n.extents[p],
-                    _ => unreachable!("C indices are external"),
-                }
-            })
-            .collect();
-        let mut c = DenseTensor::<T>::zeros(&c_extents);
-        debug_assert_eq!(c.len(), self.c_len);
+        let mut c = DenseTensor::<T>::zeros(&self.c_extents);
 
         let av = a.as_slice();
         let bv = b.as_slice();
@@ -232,9 +171,9 @@ impl GettPlan {
                 // Pack B panel: (k_hi-kc) × (n_hi-nc), k fastest.
                 let kb = k_hi - kc;
                 for (jn, nn) in (nc..n_hi).enumerate() {
-                    let boff_n = self.b_n.offset(nn);
+                    let boff_n = self.b_n.apply(nn);
                     for (jk, kk) in (kc..k_hi).enumerate() {
-                        pack_b[jk + kb * jn] = bv[boff_n + self.b_k.offset(kk)];
+                        pack_b[jk + kb * jn] = bv[boff_n + self.b_k.apply(kk)];
                     }
                 }
                 for mc in (0..self.m).step_by(MC) {
@@ -242,9 +181,9 @@ impl GettPlan {
                     let mb = m_hi - mc;
                     // Pack A panel: mb × kb, m fastest.
                     for (jk, kk) in (kc..k_hi).enumerate() {
-                        let aoff_k = self.a_k.offset(kk);
+                        let aoff_k = self.a_k.apply(kk);
                         for (jm, mm) in (mc..m_hi).enumerate() {
-                            pack_a[jm + mb * jk] = av[aoff_k + self.a_m.offset(mm)];
+                            pack_a[jm + mb * jk] = av[aoff_k + self.a_m.apply(mm)];
                         }
                     }
                     // Macro-kernel on the packed panels.
@@ -260,9 +199,9 @@ impl GettPlan {
                     );
                     // Scatter-accumulate into C's native layout.
                     for (jn, nn) in (nc..n_hi).enumerate() {
-                        let coff_n = self.c_n.offset(nn);
+                        let coff_n = self.c_n.apply(nn);
                         for (jm, mm) in (mc..m_hi).enumerate() {
-                            let dst = coff_n + self.c_m.offset(mm);
+                            let dst = coff_n + self.c_m.apply(mm);
                             cv[dst] += pack_c[jm + mb * jn];
                         }
                     }

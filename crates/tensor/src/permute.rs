@@ -45,120 +45,82 @@ pub fn permute<T: Element>(input: &DenseTensor<T>, perm: &[usize]) -> DenseTenso
         seen[p] = true;
     }
 
-    let in_extents = input.layout().extents();
-    let out_extents: Vec<usize> = perm.iter().map(|&p| in_extents[p]).collect();
-    let out_layout = Layout::column_major(&out_extents);
+    let in_layout = input.layout();
+    let out_extents: Vec<usize> = perm.iter().map(|&p| in_layout.extents()[p]).collect();
+    let out_layout = Layout::packed(&out_extents);
 
-    // inverse_perm[input_dim] = output_dim.
-    let mut inverse_perm = vec![0usize; rank];
+    // The output layout's modes listed in input order: input coordinates
+    // to output offsets.
+    let mut out_modes = vec![(0, 0); rank];
     for (out_d, &in_d) in perm.iter().enumerate() {
-        inverse_perm[in_d] = out_d;
+        out_modes[in_d] = (out_extents[out_d], out_layout.strides()[out_d]);
     }
-    // Stride in the *output* of each *input* dimension.
-    let out_stride_of_in: Vec<usize> = (0..rank)
-        .map(|in_d| out_layout.strides()[inverse_perm[in_d]])
-        .collect();
+    let out_of_in = Layout::new(out_modes);
 
-    let mut out = vec![T::ZERO; out_layout.len()];
+    let mut out = vec![T::ZERO; out_layout.size()];
+    let data = input.as_slice();
 
     // The two cache-critical input dimensions.
     let d_read = 0; // input FVI: contiguous reads
     let d_write = perm[0]; // becomes output FVI: contiguous writes
 
-    if d_read == d_write {
-        // The FVI is preserved; copy whole dim-0 runs.
-        permute_runs(input, &mut out, &out_stride_of_in);
-    } else {
-        permute_blocked(input, &mut out, &out_stride_of_in, d_read, d_write);
+    // Walk every dimension but those two (the slabs), then copy each slab.
+    let slabs = |l: &Layout| {
+        Layout::new(
+            l.modes()
+                .enumerate()
+                .filter(|&(d, _)| d != d_read && d != d_write)
+                .map(|(_, m)| m),
+        )
+    };
+    let (in_slabs, out_slabs) = (slabs(in_layout), slabs(&out_of_in));
+    let n_read = in_layout.extents()[d_read];
+    for s in 0..in_slabs.size() {
+        let (in_base, out_base) = (in_slabs.apply(s), out_slabs.apply(s));
+        if d_read == d_write {
+            // The FVI is preserved; copy the whole contiguous run.
+            out[out_base..out_base + n_read].copy_from_slice(&data[in_base..in_base + n_read]);
+        } else {
+            copy_blocked(
+                &data[in_base..],
+                &mut out[out_base..],
+                n_read,
+                out_of_in.strides()[d_read],
+                in_layout.extents()[d_write],
+                in_layout.strides()[d_write],
+                out_of_in.strides()[d_write],
+            );
+        }
     }
 
     DenseTensor::from_vec(&out_extents, out)
 }
 
-/// FVI-preserving case: iterate the non-FVI dims and copy contiguous runs.
-fn permute_runs<T: Element>(input: &DenseTensor<T>, out: &mut [T], out_stride_of_in: &[usize]) {
-    let in_layout = input.layout();
-    let n0 = in_layout.extents()[0];
-    let data = input.as_slice();
-    let rank = in_layout.rank();
-    let mut coords = vec![0usize; rank];
-    loop {
-        let in_off = in_layout.offset(&coords);
-        let out_off: usize = coords
-            .iter()
-            .zip(out_stride_of_in)
-            .map(|(&c, &s)| c * s)
-            .sum();
-        out[out_off..out_off + n0].copy_from_slice(&data[in_off..in_off + n0]);
-        // Advance the non-FVI coordinates.
-        if !advance_excluding(in_layout, &mut coords, &[0]) {
-            break;
-        }
-    }
-}
-
-/// General case: 2D blocked copy over (input FVI, output FVI source dim).
-fn permute_blocked<T: Element>(
-    input: &DenseTensor<T>,
+/// 2D blocked copy of one slab over (input FVI, output FVI source dim):
+/// `n_read` elements along the input FVI (input stride 1) times `n_write`
+/// along the dimension that becomes the output FVI.
+fn copy_blocked<T: Element>(
+    data: &[T],
     out: &mut [T],
-    out_stride_of_in: &[usize],
-    d_read: usize,
-    d_write: usize,
+    n_read: usize,
+    out_stride_read: usize,
+    n_write: usize,
+    in_stride_write: usize,
+    out_stride_write: usize,
 ) {
-    let in_layout = input.layout();
-    let data = input.as_slice();
-    let rank = in_layout.rank();
-    let n_read = in_layout.extents()[d_read];
-    let n_write = in_layout.extents()[d_write];
-    let in_stride_write = in_layout.strides()[d_write];
-    let out_stride_read = out_stride_of_in[d_read];
-    let out_stride_write = out_stride_of_in[d_write];
-
-    let mut coords = vec![0usize; rank];
-    loop {
-        // Base offsets for this slab (coords of d_read/d_write are zero).
-        let in_base = in_layout.offset(&coords);
-        let out_base: usize = coords
-            .iter()
-            .zip(out_stride_of_in)
-            .map(|(&c, &s)| c * s)
-            .sum();
-
-        for bw in (0..n_write).step_by(BLOCK) {
-            let w_hi = (bw + BLOCK).min(n_write);
-            for br in (0..n_read).step_by(BLOCK) {
-                let r_hi = (br + BLOCK).min(n_read);
-                for w in bw..w_hi {
-                    let in_row = in_base + w * in_stride_write;
-                    let out_row = out_base + w * out_stride_write;
-                    for r in br..r_hi {
-                        out[out_row + r * out_stride_read] = data[in_row + r];
-                    }
+    for bw in (0..n_write).step_by(BLOCK) {
+        let w_hi = (bw + BLOCK).min(n_write);
+        for br in (0..n_read).step_by(BLOCK) {
+            let r_hi = (br + BLOCK).min(n_read);
+            for w in bw..w_hi {
+                let in_row = w * in_stride_write;
+                let out_row = w * out_stride_write;
+                for r in br..r_hi {
+                    out[out_row + r * out_stride_read] = data[in_row + r];
                 }
             }
         }
-
-        if !advance_excluding(in_layout, &mut coords, &[d_read, d_write]) {
-            break;
-        }
     }
-}
-
-/// Advances `coords` in layout order, skipping the dimensions in `frozen`
-/// (their coordinates stay zero). Returns `false` on wrap-around.
-#[allow(clippy::needless_range_loop)] // dimension index d is also checked against `frozen`
-fn advance_excluding(layout: &Layout, coords: &mut [usize], frozen: &[usize]) -> bool {
-    for d in 0..coords.len() {
-        if frozen.contains(&d) {
-            continue;
-        }
-        coords[d] += 1;
-        if coords[d] < layout.extents()[d] {
-            return true;
-        }
-        coords[d] = 0;
-    }
-    false
 }
 
 /// Computes the permutation `perm` such that permuting data laid out as
@@ -190,12 +152,6 @@ pub fn permutation_between(from: &TensorRef, to: &TensorRef) -> Vec<usize> {
         .collect()
 }
 
-/// Number of elements moved by a permutation of the given extents (both a
-/// read and a write of every element) — the traffic a transpose engine pays.
-pub fn permutation_traffic_elements(extents: &[usize]) -> u128 {
-    2 * extents.iter().map(|&e| e as u128).product::<u128>()
-}
-
 /// Whether `perm` is the identity (no data movement needed).
 pub fn is_identity_permutation(perm: &[usize]) -> bool {
     perm.iter().enumerate().all(|(i, &p)| i == p)
@@ -212,14 +168,11 @@ mod tests {
         let mut out = DenseTensor::<T>::zeros(&out_extents);
         let out_layout = out.layout().clone();
         for out_coords in out_layout.iter_coords() {
-            let in_coords: Vec<usize> = perm.iter().map(|&p| out_coords[p]).collect();
-            // out dim d has coordinate out_coords[d] = in coordinate along
-            // input dim perm[d]; rebuild input coords accordingly.
+            // Output dim d has the coordinate of input dim perm[d].
             let mut ic = vec![0usize; perm.len()];
             for (d, &p) in perm.iter().enumerate() {
                 ic[p] = out_coords[d];
             }
-            let _ = in_coords;
             out.set(&out_coords, input.get(&ic));
         }
         out
@@ -312,7 +265,6 @@ mod tests {
 
     #[test]
     fn traffic_and_identity() {
-        assert_eq!(permutation_traffic_elements(&[3, 4]), 24);
         assert!(is_identity_permutation(&[0, 1, 2]));
         assert!(!is_identity_permutation(&[1, 0]));
     }

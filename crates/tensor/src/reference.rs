@@ -63,53 +63,32 @@ pub fn contract_reference<T: Element>(
     let c_extents = extents_of(tc.c().indices(), sizes);
     let mut c = DenseTensor::<T>::zeros(&c_extents);
 
-    // Precompute, for each tensor, the position of every loop index.
-    // Loop order: output indices (externals then batch) then internals.
+    // Loop order: output indices (externals then batch), then internals.
+    // Each operand is viewed over a run of loop indices as a layout: its
+    // own stride for an index it has, stride 0 for one it lacks.
     let loop_indices: Vec<&IndexName> = tc.all_indices().collect();
-    let num_ext = tc.external_indices().len() + tc.batch_indices().len();
-    let pos_in = |t: &cogent_ir::TensorRef| -> Vec<Option<usize>> {
-        loop_indices.iter().map(|i| t.position(i)).collect()
+    let (ext, int) = loop_indices.split_at(tc.external_indices().len() + tc.batch_indices().len());
+    let view = |t: &cogent_ir::TensorRef, layout: &Layout, over: &[&IndexName]| {
+        Layout::new(over.iter().map(|i| {
+            let stride = t.position(i).map_or(0, |p| layout.strides()[p]);
+            (sizes.extent_of(i), stride)
+        }))
     };
-    let a_pos = pos_in(tc.a());
-    let b_pos = pos_in(tc.b());
-    let c_pos = pos_in(tc.c());
+    let (a_ext, a_int) = (view(tc.a(), a.layout(), ext), view(tc.a(), a.layout(), int));
+    let (b_ext, b_int) = (view(tc.b(), b.layout(), ext), view(tc.b(), b.layout(), int));
+    let c_ext = view(tc.c(), c.layout(), ext);
 
-    let loop_extents: Vec<usize> = loop_indices.iter().map(|i| sizes.extent_of(i)).collect();
-    let ext_layout = Layout::column_major(&loop_extents[..num_ext]);
-    let int_layout =
-        (loop_extents.len() > num_ext).then(|| Layout::column_major(&loop_extents[num_ext..]));
-
-    let gather = |positions: &[Option<usize>], point: &[usize], rank: usize| -> Vec<usize> {
-        let mut coords = vec![0usize; rank];
-        for (lp, pos) in positions.iter().enumerate() {
-            if let Some(p) = *pos {
-                coords[p] = point[lp];
-            }
-        }
-        coords
-    };
-
-    let mut point = vec![0usize; loop_indices.len()];
-    for ext in ext_layout.iter_coords() {
-        point[..num_ext].copy_from_slice(&ext);
-        let mut acc = T::ZERO;
-        match &int_layout {
-            None => {
-                let av = a.get(&gather(&a_pos, &point, tc.a().rank()));
-                let bv = b.get(&gather(&b_pos, &point, tc.b().rank()));
-                acc = av * bv;
-            }
-            Some(il) => {
-                for int in il.iter_coords() {
-                    point[num_ext..].copy_from_slice(&int);
-                    let av = a.get(&gather(&a_pos, &point, tc.a().rank()));
-                    let bv = b.get(&gather(&b_pos, &point, tc.b().rank()));
-                    acc = av.mul_add_(bv, acc);
-                }
-            }
-        }
-        let c_coords = gather(&c_pos, &point, tc.c().rank());
-        c.set(&c_coords, acc);
+    let (av, bv) = (a.as_slice(), b.as_slice());
+    for p in 0..c_ext.size() {
+        let (a0, b0) = (a_ext.apply(p), b_ext.apply(p));
+        let acc = if int.is_empty() {
+            av[a0] * bv[b0]
+        } else {
+            (0..a_int.size()).fold(T::ZERO, |acc, q| {
+                av[a0 + a_int.apply(q)].mul_add_(bv[b0 + b_int.apply(q)], acc)
+            })
+        };
+        c.as_mut_slice()[c_ext.apply(p)] = acc;
     }
     c
 }

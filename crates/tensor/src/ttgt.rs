@@ -60,9 +60,6 @@ impl TtgtPlan {
     ///
     /// # Panics
     ///
-    /// Panics when `sizes` does not cover the contraction.
-    /// # Panics
-    ///
     /// Panics when `sizes` does not cover the contraction or when the
     /// contraction has batch indices (TTGT would need a *batched* GEMM;
     /// use the direct generator for batched contractions).
@@ -176,38 +173,6 @@ impl TtgtPlan {
         is_identity_permutation(&self.perm_c)
     }
 
-    /// Elements moved by the transposes this plan actually performs (each
-    /// non-identity transpose reads and writes every element once).
-    pub fn transpose_traffic_elements(&self) -> u128 {
-        let mut total = 0u128;
-        if !self.a_transpose_is_identity() {
-            total += 2 * self.a_extents.iter().map(|&e| e as u128).product::<u128>();
-        }
-        if !self.b_transpose_is_identity() {
-            total += 2 * self.b_extents.iter().map(|&e| e as u128).product::<u128>();
-        }
-        if !self.c_transpose_is_identity() {
-            total += 2 * self.c_extents.iter().map(|&e| e as u128).product::<u128>();
-        }
-        total
-    }
-
-    /// Extra workspace (elements) for the transposed copies, the paper's
-    /// "requires extra temporary space" disadvantage of TTGT.
-    pub fn workspace_elements(&self) -> u128 {
-        let mut total = 0u128;
-        if !self.a_transpose_is_identity() {
-            total += self.a_extents.iter().map(|&e| e as u128).product::<u128>();
-        }
-        if !self.b_transpose_is_identity() {
-            total += self.b_extents.iter().map(|&e| e as u128).product::<u128>();
-        }
-        if !self.c_transpose_is_identity() {
-            total += self.c_extents.iter().map(|&e| e as u128).product::<u128>();
-        }
-        total
-    }
-
     /// Executes the plan on host tensors.
     ///
     /// # Panics
@@ -290,8 +255,6 @@ mod tests {
         assert!(plan.b_transpose_is_identity());
         assert!(plan.c_transpose_is_identity());
         assert_eq!(plan.gemm_dims(), (4, 5, 6));
-        assert_eq!(plan.transpose_traffic_elements(), 0);
-        assert_eq!(plan.workspace_elements(), 0);
         check("ij-ik-kj", &[("i", 4), ("j", 5), ("k", 6)]);
     }
 
@@ -313,7 +276,6 @@ mod tests {
         assert_eq!(plan.gemm_dims(), (12, 6, 10));
         assert!(!plan.a_transpose_is_identity());
         assert!(!plan.b_transpose_is_identity());
-        assert!(plan.transpose_traffic_elements() > 0);
     }
 
     #[test]
