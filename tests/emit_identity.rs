@@ -9,8 +9,9 @@
 //! Regenerate the corpus deliberately (after a reviewed snapshot change)
 //! with: `cargo test --test emit_identity -- --ignored bless`
 
+mod golden;
+
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use cogent::generator::codegen::{emit_backend_kernel, Backend};
 use cogent::generator::persist::fnv1a64;
@@ -18,9 +19,9 @@ use cogent::prelude::*;
 
 const CORPUS: &str = "tests/golden/emit_hashes.txt";
 
-/// Emits the full corpus and returns `(entry, backend) -> hash` in
+/// Emits the full corpus and returns `<entry> <backend> -> hash` in
 /// deterministic order.
-fn current_corpus() -> BTreeMap<(String, String), u64> {
+fn current_corpus() -> BTreeMap<String, String> {
     let mut out = BTreeMap::new();
     for entry in cogent::tccg::suite() {
         let tc = entry.contraction();
@@ -31,47 +32,17 @@ fn current_corpus() -> BTreeMap<(String, String), u64> {
         for backend in Backend::ALL {
             let source = emit_backend_kernel(&g.plan, Precision::F64, backend);
             out.insert(
-                (entry.name.to_string(), backend.to_string()),
-                fnv1a64(source.as_bytes()),
+                format!("{} {backend}", entry.name),
+                format!("{:016x}", fnv1a64(source.as_bytes())),
             );
         }
     }
     out
 }
 
-fn render(corpus: &BTreeMap<(String, String), u64>) -> String {
-    let mut out = String::new();
-    for ((entry, backend), hash) in corpus {
-        let _ = writeln!(out, "{entry} {backend} {hash:016x}");
-    }
-    out
-}
-
 #[test]
 fn all_48x3_sources_match_the_pre_refactor_hash_corpus() {
-    let want = std::fs::read_to_string(CORPUS)
-        .unwrap_or_else(|e| panic!("{CORPUS} missing ({e}); run the bless test to create it"));
-    let got = render(&current_corpus());
-    let want_map: BTreeMap<&str, &str> = want.lines().filter_map(|l| l.rsplit_once(' ')).collect();
-    let got_map: BTreeMap<&str, &str> = got.lines().filter_map(|l| l.rsplit_once(' ')).collect();
-    let mut drifted = Vec::new();
-    for (key, want_hash) in &want_map {
-        match got_map.get(key) {
-            Some(got_hash) if got_hash == want_hash => {}
-            Some(got_hash) => drifted.push(format!("{key}: {want_hash} -> {got_hash}")),
-            None => drifted.push(format!("{key}: missing from emitted corpus")),
-        }
-    }
-    for key in got_map.keys() {
-        if !want_map.contains_key(key) {
-            drifted.push(format!("{key}: not in {CORPUS}"));
-        }
-    }
-    assert!(
-        drifted.is_empty(),
-        "emit corpus drifted from the pre-refactor bytes:\n{}",
-        drifted.join("\n")
-    );
+    golden::assert_matches(CORPUS, &current_corpus());
 }
 
 /// Writes the current corpus hashes to the golden file. Run explicitly
@@ -79,5 +50,5 @@ fn all_48x3_sources_match_the_pre_refactor_hash_corpus() {
 #[test]
 #[ignore = "regenerates the golden hash corpus"]
 fn bless_emit_hash_corpus() {
-    std::fs::write(CORPUS, render(&current_corpus())).expect("writing the corpus");
+    golden::bless(CORPUS, "", &current_corpus());
 }

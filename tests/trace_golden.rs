@@ -12,6 +12,8 @@
 //! Regenerate deliberately (after a reviewed change of the counting
 //! rules) with: `cargo test --test trace_golden -- --ignored bless`
 
+mod golden;
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -116,45 +118,9 @@ fn current_hashes() -> BTreeMap<String, String> {
     out
 }
 
-fn render(hashes: &BTreeMap<String, String>) -> String {
-    let mut out = String::from(
-        "# FNV-1a 64 of trace_transactions' report and trace.sampled.* counters\n\
-         # for the first 4 valid candidates; see tests/trace_golden.rs.\n",
-    );
-    for (key, hash) in hashes {
-        let _ = writeln!(out, "{key} {hash}");
-    }
-    out
-}
-
 #[test]
 fn sampled_trace_counts_match_the_golden_hashes() {
-    let want = std::fs::read_to_string(GOLDEN)
-        .unwrap_or_else(|e| panic!("{GOLDEN} missing ({e}); run the bless test to create it"));
-    let want: BTreeMap<&str, &str> = want
-        .lines()
-        .filter(|l| !l.starts_with('#'))
-        .filter_map(|l| l.rsplit_once(' '))
-        .collect();
-    let got = current_hashes();
-    let mut drifted = Vec::new();
-    for (key, want_hash) in &want {
-        match got.get(*key) {
-            Some(got_hash) if got_hash == want_hash => {}
-            Some(got_hash) => drifted.push(format!("{key}: {want_hash} -> {got_hash}")),
-            None => drifted.push(format!("{key}: not traced")),
-        }
-    }
-    for key in got.keys() {
-        if !want.contains_key(key.as_str()) {
-            drifted.push(format!("{key}: not in {GOLDEN}"));
-        }
-    }
-    assert!(
-        drifted.is_empty(),
-        "traced counts drifted from {GOLDEN}:\n{}",
-        drifted.join("\n")
-    );
+    golden::assert_matches(GOLDEN, &current_hashes());
 }
 
 /// Writes the current hashes to the golden file. Run explicitly
@@ -162,5 +128,10 @@ fn sampled_trace_counts_match_the_golden_hashes() {
 #[test]
 #[ignore = "regenerates the golden trace hashes"]
 fn bless_trace_hashes() {
-    std::fs::write(GOLDEN, render(&current_hashes())).expect("writing the golden file");
+    golden::bless(
+        GOLDEN,
+        "# FNV-1a 64 of trace_transactions' report and trace.sampled.* counters\n\
+         # for the first 4 valid candidates; see tests/trace_golden.rs.\n",
+        &current_hashes(),
+    );
 }
