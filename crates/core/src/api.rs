@@ -357,12 +357,11 @@ impl Cogent {
         }
         let mut kernel = self.generate_uncached(tc, sizes)?;
         if let Some((cache, key)) = key {
-            // Store without the trace: it describes this particular run,
-            // not the kernel, and would pin every span buffer in memory.
-            // Truncated searches are best-effort under a budget that may
-            // have been this request's alone — never cache them, so a
-            // later request with a generous (or no) deadline redoes the
-            // full search instead of inheriting a degraded kernel.
+            // The cache keeps no trace (`insert` drops it). Truncated
+            // searches are best-effort under a budget that may have been
+            // this request's alone — never cache them, so a later request
+            // with a generous (or no) deadline redoes the full search
+            // instead of inheriting a degraded kernel.
             if !kernel.search.truncated {
                 cache.insert(key, kernel.clone());
             }

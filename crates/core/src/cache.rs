@@ -321,10 +321,15 @@ impl KernelCache {
 
     /// Stores a kernel, evicting the shard's least-recently-used entry
     /// when the shard is full. A no-op when the cache is disabled.
-    pub fn insert(&self, key: CacheKey, kernel: GeneratedKernel) {
+    ///
+    /// The kernel's trace is dropped: it describes the run that produced
+    /// the kernel, not the kernel, and keeping it would pin every span
+    /// buffer of that run in memory and deep-clone it on every hit.
+    pub fn insert(&self, key: CacheKey, mut kernel: GeneratedKernel) {
         if !self.enabled() {
             return;
         }
+        kernel.trace = None;
         let mut shard = self.lock_shard(&key);
         shard.tick += 1;
         shard.version += 1;
@@ -447,6 +452,20 @@ mod tests {
         assert_eq!(hit.config, kernel.config);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn insert_drops_the_kernels_trace() {
+        cogent_obs::set_enabled(true);
+        let (tc, sizes, kernel) = kernel_for("ij-ik-kj", 16);
+        assert!(
+            kernel.trace.is_some(),
+            "a traced generation carries its trace"
+        );
+        let cache = KernelCache::new(4);
+        let key = key_for(&tc, &sizes, "opts");
+        cache.insert(key.clone(), kernel);
+        assert!(cache.get(&key).expect("warm hit").trace.is_none());
     }
 
     #[test]
