@@ -59,9 +59,11 @@ if COGENT_CACHE_CAP=banana cargo run --release $OFFLINE --bin cogent -- serve 2>
     echo "serve smoke: malformed COGENT_CACHE_CAP must refuse startup" >&2
     exit 1
 fi
-# Flight-recorder smoke: a live daemon must echo request ids, serve the
-# cogent.flight.v1 debug endpoint, write slow/drain dumps plus the
-# structured access log, and round-trip through `cogent flight`.
+# Flight-recorder smoke: a live daemon must echo request ids, serve its
+# flight ring at the debug endpoint as JSON lines of labelled
+# cogent.trace.v3 traces (the search at full depth), write slow/drain
+# dumps plus the structured access log, and round-trip through
+# `cogent flight`.
 run ./tools/flight_smoke.sh
 # Emission gate: every TCCG entry x every backend dialect (CUDA, OpenCL,
 # HIP) must emit and pass both the text lint and the structural IR lint.
@@ -78,6 +80,13 @@ run cargo run --release $OFFLINE --manifest-path cogent-benchmark/Cargo.toml -- 
 # refinement winner fails here.
 run cargo run --release $OFFLINE --manifest-path cogent-benchmark/Cargo.toml -- \
     run --workload cold_tccg48 --quick
+# Serve smokes: both serve workloads in quick trace mode. Each exits 1
+# when a warm 200 body differs from its reference or a request is
+# missing from the server's access log.
+run cargo run --release $OFFLINE --manifest-path cogent-benchmark/Cargo.toml -- \
+    trace --workload serve_warm_zipf --quick
+run cargo run --release $OFFLINE --manifest-path cogent-benchmark/Cargo.toml -- \
+    trace --workload serve_cold_churn --quick
 # The benchmark harness's own unit tests (a package of its own, outside
 # the workspace).
 run cargo test -q --manifest-path cogent-benchmark/Cargo.toml $OFFLINE

@@ -17,7 +17,6 @@ use std::time::Instant;
 
 use cogent_baselines::{measure_cogent, Measurement, NwchemLikeGenerator, TtgtEngine};
 use cogent_gpu_model::{GpuDevice, Precision};
-use cogent_obs::json::Json;
 use cogent_tccg::TccgEntry;
 
 /// Geometric mean of positive values. Returns `NaN` for an empty slice.
@@ -122,15 +121,10 @@ pub fn write_trace_jsonl(path: &Path) -> std::io::Result<usize> {
         }
     }
     let mut out = String::new();
-    let count = traces.len();
-    for (label, trace) in traces {
-        let line = Json::Object(vec![
-            ("label".to_string(), Json::Str(label)),
-            ("trace".to_string(), trace.to_json()),
-        ]);
-        line.write(&mut out);
-        out.push('\n');
+    for (label, trace) in &traces {
+        cogent_obs::flight::write_line(&mut out, label, trace);
     }
+    let count = traces.len();
     std::fs::write(path, out)?;
     Ok(count)
 }
@@ -206,15 +200,12 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         // Concurrent tests may publish too; every line must parse and
         // ours must be among them.
-        let mut found = false;
-        for line in text.lines() {
-            let json = Json::parse(line).unwrap();
-            if json.get("label").and_then(Json::as_str) == Some("jsonl_test") {
-                assert!(json.get("trace").and_then(|t| t.get("root")).is_some());
-                found = true;
-            }
-        }
-        assert!(found, "published trace missing from {text}");
+        let records = cogent_obs::flight::parse_lines(&text).unwrap();
+        let (_, trace) = records
+            .iter()
+            .find(|(label, _)| label == "jsonl_test")
+            .expect("the published trace is written");
+        assert_eq!(trace.root.counter("test.touched"), Some(1));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -129,11 +129,6 @@ impl<T> JobQueue<T> {
         dropped
     }
 
-    /// Whether [`JobQueue::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Folds one observed service latency into the EWMA (α = 1/8, the
     /// classic TCP RTT smoothing constant).
     pub fn record_latency(&self, latency: Duration) {

@@ -539,22 +539,23 @@ fn worker_panic_dumps_a_flight_recording_with_the_failing_request() {
         .find(|p| {
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("flight-panic-") && n.ends_with(".json"))
+                .is_some_and(|n| n.starts_with("flight-panic-") && n.ends_with(".jsonl"))
         })
         .expect("a panic must produce a flight dump");
     let text = std::fs::read_to_string(&dump_path).expect("read dump");
-    let records = cogent_obs::flight::parse_dump(&text).expect("valid cogent.flight.v1 dump");
-    let record = records
+    let records = cogent_obs::flight::parse_lines(&text).expect("valid flight lines");
+    let (_, record) = records
         .iter()
-        .find(|r| r.id == "chaos-panic-7")
+        .find(|(id, _)| id == "chaos-panic-7")
         .expect("the failing request is in the dump");
-    assert_eq!(record.status, 500);
-    assert_eq!(record.endpoint, "generate");
-    for label in ["accepted", "queued", "started", "panic", "responded"] {
+    assert_eq!(record.root.name, "generate");
+    assert_eq!(record.root.counter("serve.status.500"), Some(1));
+    assert_eq!(record.root.counter("serve.worker_panic"), Some(1));
+    for span in ["read", "queue", "serve.job"] {
         assert!(
-            record.events.iter().any(|e| e.label == label),
-            "panic timeline missing {label:?}: {:?}",
-            record.events
+            record.root.children.iter().any(|c| c.name == span),
+            "panic record missing the {span:?} span: {:?}",
+            record.root.children
         );
     }
 

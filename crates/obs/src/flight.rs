@@ -1,152 +1,105 @@
-//! A request-scoped **flight recorder**: a bounded, always-on ring
-//! buffer of per-request event timelines for `cogent serve`.
+//! The **flight recorder** of `cogent serve`, and the JSON-lines format
+//! that it and the figure binaries write traces in: one
+//! `{"label": <id>, "trace": <cogent.trace.v3>}` object per line.
 //!
-//! Process-global metrics ([`crate::registry`]) answer "how is the
-//! server doing overall"; the flight recorder answers "what did *that*
-//! request do". Each admitted request carries a [`FlightTimeline`] that
-//! marks coarse lifecycle seams (`accepted` → `queued` → `started` →
-//! search phases → `responded`) plus outcome facts (status, cache
-//! hit/miss, truncation, provenance). When the request finishes, the
-//! closed [`FlightRecord`] is pushed into a [`FlightRecorder`] — a
-//! fixed-size slot ring whose write path is one `fetch_add` to claim a
-//! slot plus one uncontended per-slot mutex store, so recording costs
-//! nanoseconds and the buffer never grows.
-//!
-//! Dumps serialize as the stable `cogent.flight.v1` schema
-//! ([`FLIGHT_SCHEMA`]); [`parse_dump`] reads them back, and
-//! [`FlightRecord::to_trace`] lowers a timeline to a synthetic
-//! [`PipelineTrace`] so the existing [`crate::profile::PhaseProfile`]
-//! machinery can attribute time across many requests.
+//! A request's record is an ordinary [`PipelineTrace`] labelled with the
+//! request id, on the request clock (offset 0 is the accept). The root
+//! span is named after the endpoint, its children are `read`, `queue`
+//! and the worker's `serve.job` capture with the whole search under it,
+//! and the outcome facts (`serve.status.<code>`, `cache.hit`/`miss`,
+//! `serve.truncated`, `serve.provenance.*`, failures) are root counters.
+//! [`RequestSummary`] derives the access-log line from a record. The
+//! [`FlightRecorder`] ring's write path is one `fetch_add` to claim a
+//! slot plus one uncontended per-slot mutex store.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::json::Json;
-use crate::{PipelineTrace, SpanNode};
+use crate::PipelineTrace;
 
-/// Schema identifier embedded in every flight dump.
-pub const FLIGHT_SCHEMA: &str = "cogent.flight.v1";
+/// Appends one `{"label": ..., "trace": {...}}` line to `out`.
+pub fn write_line(out: &mut String, label: &str, trace: &PipelineTrace) {
+    Json::obj([
+        ("label", Json::Str(label.to_string())),
+        ("trace", trace.to_json()),
+    ])
+    .write(out);
+    out.push('\n');
+}
 
-/// One timestamped seam in a request's lifecycle, offset from the moment
-/// the connection was accepted.
+/// Parses text written by [`write_line`] back into `(label, trace)`
+/// pairs, skipping blank lines.
+///
+/// # Errors
+///
+/// A message naming the first line that is not such a pair.
+pub fn parse_lines(text: &str) -> Result<Vec<(String, PipelineTrace)>, String> {
+    let parse = |line: &str| -> Result<(String, PipelineTrace), String> {
+        let value = Json::parse(line).map_err(|e| e.to_string())?;
+        let label = value.get("label").and_then(Json::as_str);
+        let label = label.ok_or("missing string \"label\"")?.to_string();
+        let trace = PipelineTrace::from_json(value.get("trace").ok_or("missing \"trace\"")?)?;
+        Ok((label, trace))
+    };
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(n, line)| parse(line).map_err(|e| format!("line {}: {e}", n + 1)))
+        .collect()
+}
+
+/// The access-log view of one record: the request's outcome facts
+/// without its span tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// What happened, e.g. `"queued"` or `"phase:prune"`.
-    pub label: String,
-    /// Nanoseconds since the request was accepted.
-    pub at_ns: u64,
-}
-
-/// The closed record of one request: identity, outcome, and timeline.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FlightRecord {
-    /// The request id (client-supplied `X-Request-Id` or generated).
+pub struct RequestSummary {
+    /// The record's label: the request id.
     pub id: String,
-    /// Endpoint label, e.g. `"generate"` or `"healthz"`.
+    /// The root span's name: the endpoint label.
     pub endpoint: String,
-    /// Final HTTP status.
+    /// From the root's `serve.status.<code>` counter (0 when absent).
     pub status: u16,
-    /// Time spent waiting in the admission queue.
+    /// The `queue` span.
     pub queue_wait_ns: u64,
-    /// Time spent inside the kernel search (0 for non-search requests).
+    /// The summed `serve.search` and `serve.audit` spans.
     pub search_ns: u64,
-    /// Accepted → responded wall time.
+    /// The root span.
     pub total_ns: u64,
-    /// Cache outcome: `"hit"`, `"miss"`, or `""` when not applicable.
+    /// `"miss"` when any lookup missed, `"hit"` when one hit, else `""`.
     pub cache: String,
-    /// Whether the search was truncated by the deadline budget.
+    /// Whether a search was truncated by the deadline budget.
     pub truncated: bool,
-    /// Plan provenance summary (empty when not applicable).
-    pub provenance: String,
-    /// The event timeline, sorted by `at_ns`.
-    pub events: Vec<FlightEvent>,
 }
 
-impl FlightRecord {
-    /// Serializes one record (an element of a dump's `requests` array).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("id", Json::Str(self.id.clone())),
-            ("endpoint", Json::Str(self.endpoint.clone())),
-            ("status", Json::UInt(u128::from(self.status))),
-            ("queue_wait_ns", Json::UInt(u128::from(self.queue_wait_ns))),
-            ("search_ns", Json::UInt(u128::from(self.search_ns))),
-            ("total_ns", Json::UInt(u128::from(self.total_ns))),
-            ("cache", Json::Str(self.cache.clone())),
-            ("truncated", Json::Bool(self.truncated)),
-            ("provenance", Json::Str(self.provenance.clone())),
-            (
-                "events",
-                Json::Array(
-                    self.events
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("label", Json::Str(e.label.clone())),
-                                ("at_ns", Json::UInt(u128::from(e.at_ns))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parses one record previously produced by [`Self::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// A message naming the missing or mistyped member.
-    pub fn from_json(value: &Json) -> Result<Self, String> {
-        fn str_member(value: &Json, name: &str) -> Result<String, String> {
-            value
-                .get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("flight record missing string {name:?}"))
-        }
-        fn u64_member(value: &Json, name: &str) -> Result<u64, String> {
-            value
-                .get(name)
-                .and_then(Json::as_u128)
-                .and_then(|v| u64::try_from(v).ok())
-                .ok_or_else(|| format!("flight record missing integer {name:?}"))
-        }
-        let status = u64_member(value, "status")?;
-        let status = u16::try_from(status).map_err(|_| format!("status {status} is not a u16"))?;
-        let truncated = match value.get("truncated") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err("flight record missing bool \"truncated\"".to_string()),
-        };
-        let events = value
-            .get("events")
-            .and_then(Json::as_array)
-            .ok_or("flight record missing events array")?
+impl RequestSummary {
+    /// Derives the summary of the record `trace` labelled `id`.
+    pub fn of(id: &str, trace: &PipelineTrace) -> Self {
+        let root = &trace.root;
+        let counted = |name: &str| root.counter(name).is_some_and(|v| v > 0);
+        let status = root
+            .counters
             .iter()
-            .map(|e| {
-                Ok(FlightEvent {
-                    label: str_member(e, "label")?,
-                    at_ns: u64_member(e, "at_ns")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Self {
-            id: str_member(value, "id")?,
-            endpoint: str_member(value, "endpoint")?,
+            .find_map(|(name, _)| name.strip_prefix("serve.status.")?.parse().ok())
+            .unwrap_or(0);
+        let spans_ns =
+            |name: &str| -> u64 { trace.find_all(name).iter().map(|s| s.duration_ns).sum() };
+        // A miss anywhere means the request searched.
+        let cache = ["miss", "hit"]
+            .into_iter()
+            .find(|c| counted(&format!("cache.{c}")));
+        Self {
+            id: id.to_string(),
+            endpoint: root.name.clone(),
             status,
-            queue_wait_ns: u64_member(value, "queue_wait_ns")?,
-            search_ns: u64_member(value, "search_ns")?,
-            total_ns: u64_member(value, "total_ns")?,
-            cache: str_member(value, "cache")?,
-            truncated,
-            provenance: str_member(value, "provenance")?,
-            events,
-        })
+            queue_wait_ns: spans_ns("queue"),
+            search_ns: spans_ns("serve.search") + spans_ns("serve.audit"),
+            total_ns: root.duration_ns,
+            cache: cache.unwrap_or_default().to_string(),
+            truncated: counted("serve.truncated"),
+        }
     }
 
-    /// One compact JSON line for the access log: the outcome facts
-    /// without the event timeline.
+    /// One compact JSON line for the access log.
     pub fn access_log_line(&self) -> String {
         Json::obj([
             ("id", Json::Str(self.id.clone())),
@@ -160,156 +113,9 @@ impl FlightRecord {
         ])
         .to_string()
     }
-
-    /// Lowers the timeline to a synthetic [`PipelineTrace`] so
-    /// [`crate::profile::PhaseProfile`] can attribute time across
-    /// requests: the root span is named `"request"` and each child
-    /// covers the interval from one event to the next, named after the
-    /// earlier event.
-    pub fn to_trace(&self) -> PipelineTrace {
-        let children: Vec<SpanNode> = self
-            .events
-            .windows(2)
-            .map(|pair| SpanNode {
-                name: pair[0].label.clone(),
-                start_ns: pair[0].at_ns,
-                duration_ns: pair[1].at_ns.saturating_sub(pair[0].at_ns).max(1),
-                counters: Vec::new(),
-                histograms: Vec::new(),
-                gauges: Vec::new(),
-                thread: 0,
-                children: Vec::new(),
-            })
-            .collect();
-        PipelineTrace {
-            root: SpanNode {
-                name: "request".to_string(),
-                start_ns: 0,
-                duration_ns: self.total_ns.max(1),
-                counters: Vec::new(),
-                histograms: Vec::new(),
-                gauges: Vec::new(),
-                thread: 0,
-                children,
-            },
-        }
-    }
 }
 
-/// An open, per-request timeline. Owned by whichever thread currently
-/// holds the request (connection thread, then worker, then connection
-/// thread again); closing it with [`finish`](Self::finish) yields the
-/// immutable [`FlightRecord`].
-#[derive(Debug)]
-pub struct FlightTimeline {
-    epoch: Instant,
-    record: FlightRecord,
-}
-
-impl FlightTimeline {
-    /// Opens a timeline whose clock starts now.
-    pub fn start(id: &str, endpoint: &str) -> Self {
-        Self::start_at(Instant::now(), id, endpoint)
-    }
-
-    /// Opens a timeline against an earlier epoch (the connection-accept
-    /// instant), so `accepted` sits at offset 0 of that clock.
-    pub fn start_at(epoch: Instant, id: &str, endpoint: &str) -> Self {
-        Self {
-            epoch,
-            record: FlightRecord {
-                id: id.to_string(),
-                endpoint: endpoint.to_string(),
-                events: vec![FlightEvent {
-                    label: "accepted".to_string(),
-                    at_ns: 0,
-                }],
-                ..FlightRecord::default()
-            },
-        }
-    }
-
-    /// A throwaway timeline for unit tests and non-server callers of
-    /// [`execute`](../../cogent_core/serve/handlers/fn.execute.html).
-    pub fn detached() -> Self {
-        Self::start("detached", "test")
-    }
-
-    /// The request id this timeline records.
-    pub fn id(&self) -> &str {
-        &self.record.id
-    }
-
-    /// Nanoseconds elapsed since the timeline's epoch.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// The epoch this timeline's offsets are relative to.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
-    /// Marks an event at the current instant; returns its offset.
-    pub fn mark(&mut self, label: &str) -> u64 {
-        let at_ns = self.elapsed_ns();
-        self.mark_at(label, at_ns);
-        at_ns
-    }
-
-    /// Marks an event at an explicit offset (used to splice search-phase
-    /// seams recorded on another clock).
-    pub fn mark_at(&mut self, label: &str, at_ns: u64) {
-        self.record.events.push(FlightEvent {
-            label: label.to_string(),
-            at_ns,
-        });
-    }
-
-    /// Records the admission-queue wait.
-    pub fn set_queue_wait_ns(&mut self, ns: u64) {
-        self.record.queue_wait_ns = ns;
-    }
-
-    /// Records the in-search time.
-    pub fn set_search_ns(&mut self, ns: u64) {
-        self.record.search_ns = ns;
-    }
-
-    /// Adds to the in-search time (batch requests accumulate one search
-    /// per job).
-    pub fn add_search_ns(&mut self, ns: u64) {
-        self.record.search_ns = self.record.search_ns.saturating_add(ns);
-    }
-
-    /// Records the cache outcome (`"hit"` / `"miss"`).
-    pub fn set_cache(&mut self, cache: &str) {
-        self.record.cache = cache.to_string();
-    }
-
-    /// Records whether the search was budget-truncated.
-    pub fn set_truncated(&mut self, truncated: bool) {
-        self.record.truncated = truncated;
-    }
-
-    /// Records the plan provenance summary.
-    pub fn set_provenance(&mut self, provenance: &str) {
-        self.record.provenance = provenance.to_string();
-    }
-
-    /// Closes the timeline: marks `responded`, fixes the total duration,
-    /// sorts events by offset (stable, so same-instant events keep
-    /// insertion order), and returns the record.
-    pub fn finish(mut self, status: u16) -> FlightRecord {
-        let at_ns = self.mark("responded");
-        self.record.status = status;
-        self.record.total_ns = at_ns.max(1);
-        self.record.events.sort_by_key(|e| e.at_ns);
-        self.record
-    }
-}
-
-/// The bounded ring of recent [`FlightRecord`]s.
+/// The bounded ring of recent records.
 ///
 /// Writers claim a slot with one atomic `fetch_add` and store under that
 /// slot's own mutex — two writers only contend when the ring has wrapped
@@ -317,7 +123,7 @@ impl FlightTimeline {
 /// lock slots one at a time, so a dump never blocks the request path for
 /// more than one slot store.
 pub struct FlightRecorder {
-    slots: Vec<Mutex<Option<FlightRecord>>>,
+    slots: Vec<Mutex<Option<(String, PipelineTrace)>>>,
     pushes: AtomicU64,
 }
 
@@ -332,214 +138,112 @@ impl FlightRecorder {
         }
     }
 
-    /// The ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total records ever pushed (not the count currently held).
-    pub fn recorded(&self) -> u64 {
-        self.pushes.load(Ordering::Relaxed)
-    }
-
-    /// Pushes one closed record, overwriting the oldest once the ring is
-    /// full.
-    pub fn record(&self, record: FlightRecord) {
+    /// Pushes one record, overwriting the oldest once the ring is full.
+    /// The overwritten trace is freed after the slot's lock is released.
+    pub fn record(&self, label: String, trace: PipelineTrace) {
         let n = self.pushes.fetch_add(1, Ordering::Relaxed);
-        let slot = (n % self.slots.len() as u64) as usize;
-        let mut guard = self.slots[slot].lock().unwrap_or_else(|e| e.into_inner());
-        *guard = Some(record);
+        let slot = &self.slots[(n % self.slots.len() as u64) as usize];
+        let _old = slot
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .replace((label, trace));
     }
 
     /// The retained records, oldest first.
-    pub fn snapshot(&self) -> Vec<FlightRecord> {
+    pub fn snapshot(&self) -> Vec<(String, PipelineTrace)> {
         let capacity = self.slots.len() as u64;
         let total = self.pushes.load(Ordering::Relaxed);
-        let (start, count) = if total <= capacity {
-            (0, total)
-        } else {
-            (total % capacity, capacity)
-        };
-        (0..count)
-            .filter_map(|i| {
-                let slot = ((start + i) % capacity) as usize;
-                self.slots[slot]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone()
+        (total.saturating_sub(capacity)..total)
+            .filter_map(|n| {
+                let slot = &self.slots[(n % capacity) as usize];
+                slot.lock().unwrap_or_else(|e| e.into_inner()).clone()
             })
             .collect()
     }
 
-    /// Serializes the current ring contents as a `cogent.flight.v1` dump.
-    pub fn to_json(&self) -> Json {
-        let requests = self.snapshot();
-        Json::obj([
-            ("schema", Json::Str(FLIGHT_SCHEMA.to_string())),
-            ("capacity", Json::UInt(self.capacity() as u128)),
-            ("recorded", Json::UInt(u128::from(self.recorded()))),
-            (
-                "requests",
-                Json::Array(requests.iter().map(FlightRecord::to_json).collect()),
-            ),
-        ])
+    /// The retained records as JSON lines, oldest first.
+    pub fn to_lines(&self) -> String {
+        let mut out = String::new();
+        for (label, trace) in self.snapshot() {
+            write_line(&mut out, &label, &trace);
+        }
+        out
     }
-}
-
-/// Parses a `cogent.flight.v1` dump back into its records.
-///
-/// # Errors
-///
-/// A message when the text is not JSON, the schema tag is missing or
-/// unknown, or a record is malformed.
-pub fn parse_dump(text: &str) -> Result<Vec<FlightRecord>, String> {
-    let value = Json::parse(text).map_err(|e| e.to_string())?;
-    let schema = value
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing schema tag")?;
-    if schema != FLIGHT_SCHEMA {
-        return Err(format!("unknown flight schema {schema:?}"));
-    }
-    value
-        .get("requests")
-        .and_then(Json::as_array)
-        .ok_or("missing requests array")?
-        .iter()
-        .map(FlightRecord::from_json)
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::PhaseProfile;
+    use crate::SpanNode;
 
-    fn record(id: &str, total_ns: u64) -> FlightRecord {
-        FlightRecord {
-            id: id.to_string(),
-            endpoint: "generate".to_string(),
-            status: 200,
-            queue_wait_ns: 10,
-            search_ns: total_ns / 2,
-            total_ns,
-            cache: "miss".to_string(),
-            truncated: false,
-            provenance: "search".to_string(),
-            events: vec![
-                FlightEvent {
-                    label: "accepted".to_string(),
-                    at_ns: 0,
-                },
-                FlightEvent {
-                    label: "started".to_string(),
-                    at_ns: total_ns / 4,
-                },
-                FlightEvent {
-                    label: "responded".to_string(),
-                    at_ns: total_ns,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn timeline_marks_are_monotonic_and_sorted() {
-        let mut timeline = FlightTimeline::start("req-1", "generate");
-        let a = timeline.mark("queued");
-        let b = timeline.mark("started");
-        assert!(b >= a);
-        // Out-of-order explicit mark: finish() restores sorted order.
-        timeline.mark_at("phase:enumerate", 1);
-        timeline.set_cache("miss");
-        timeline.set_truncated(true);
-        timeline.set_provenance("search");
-        let record = timeline.finish(200);
-        assert_eq!(record.id, "req-1");
-        assert_eq!(record.status, 200);
-        assert_eq!(record.cache, "miss");
-        assert!(record.truncated);
-        assert!(record.total_ns >= b);
-        assert_eq!(
-            record.events.first().map(|e| e.label.as_str()),
-            Some("accepted")
-        );
-        assert_eq!(
-            record.events.last().map(|e| e.label.as_str()),
-            Some("responded")
-        );
-        let offsets: Vec<u64> = record.events.iter().map(|e| e.at_ns).collect();
-        let mut sorted = offsets.clone();
-        sorted.sort_unstable();
-        assert_eq!(offsets, sorted);
+    fn record(status: u16) -> PipelineTrace {
+        let mut root = SpanNode::closed("generate", 0, 1_000);
+        root.add_counter(&format!("serve.status.{status}"), 1);
+        root.add_counter("cache.hit", 1);
+        root.children = vec![
+            SpanNode::closed("queue", 10, 7),
+            SpanNode::closed("serve.search", 20, 300),
+        ];
+        PipelineTrace { root }
     }
 
     #[test]
     fn ring_keeps_newest_records_in_order() {
         let recorder = FlightRecorder::new(3);
-        assert!(recorder.snapshot().is_empty());
-        for i in 0..5u64 {
-            recorder.record(record(&format!("req-{i}"), 100 + i));
+        for i in 0..5 {
+            recorder.record(format!("req-{i}"), record(200 + i));
         }
-        assert_eq!(recorder.recorded(), 5);
-        let ids: Vec<String> = recorder.snapshot().into_iter().map(|r| r.id).collect();
-        assert_eq!(ids, ["req-2", "req-3", "req-4"]);
+        let labels: Vec<String> = recorder.snapshot().into_iter().map(|r| r.0).collect();
+        assert_eq!(labels, ["req-2", "req-3", "req-4"]);
     }
 
     #[test]
     fn concurrent_pushes_never_lose_the_count() {
-        let recorder = std::sync::Arc::new(FlightRecorder::new(8));
+        let recorder = FlightRecorder::new(8);
         std::thread::scope(|scope| {
             for t in 0..4 {
-                let recorder = std::sync::Arc::clone(&recorder);
+                let recorder = &recorder;
                 scope.spawn(move || {
-                    for i in 0..25 {
-                        recorder.record(record(&format!("t{t}-{i}"), 1));
-                    }
+                    (0..25).for_each(|i| recorder.record(format!("{t}-{i}"), record(200)))
                 });
             }
         });
-        assert_eq!(recorder.recorded(), 100);
+        assert_eq!(recorder.pushes.load(Ordering::Relaxed), 100);
         assert_eq!(recorder.snapshot().len(), 8);
     }
 
     #[test]
     fn dump_round_trips_through_the_schema() {
         let recorder = FlightRecorder::new(4);
-        recorder.record(record("req-a", 1000));
-        recorder.record(record("req-b", 2000));
-        let mut text = String::new();
-        recorder.to_json().write(&mut text);
-        assert!(text.contains("\"schema\":\"cogent.flight.v1\""));
-        let back = parse_dump(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0], record("req-a", 1000));
-        assert_eq!(back[1], record("req-b", 2000));
+        recorder.record("req-a".to_string(), record(200));
+        recorder.record("req-b".to_string(), record(504));
+        let back = parse_lines(&format!("\n{}", recorder.to_lines())).unwrap();
+        assert_eq!(
+            back,
+            [("req-a".into(), record(200)), ("req-b".into(), record(504))]
+        );
     }
 
     #[test]
-    fn parse_dump_rejects_bad_schemas() {
-        assert!(parse_dump("not json").is_err());
-        assert!(parse_dump("{}").unwrap_err().contains("missing schema"));
-        assert!(parse_dump(r#"{"schema":"other.v9","requests":[]}"#)
-            .unwrap_err()
-            .contains("unknown flight schema"));
-        assert!(parse_dump(r#"{"schema":"cogent.flight.v1","requests":[{}]}"#).is_err());
+    fn parse_lines_rejects_bad_lines() {
+        let bad = record(200).to_json_string().replace("trace.v3", "trace.v9");
+        for (line, why) in [
+            ("not json", "line 1: "),
+            ("{\"trace\":{}}", "line 1: missing string \"label\""),
+            ("{\"label\":\"x\"}", "line 1: missing \"trace\""),
+            (
+                &format!("{{\"label\":\"x\",\"trace\":{bad}}}"),
+                "line 1: unknown trace schema",
+            ),
+        ] {
+            assert!(parse_lines(line).unwrap_err().starts_with(why), "{line}");
+        }
     }
 
     #[test]
-    fn to_trace_feeds_phase_profile() {
-        let r = record("req-a", 1000);
-        let trace = r.to_trace();
-        assert_eq!(trace.root.name, "request");
-        assert_eq!(trace.root.duration_ns, 1000);
-        // Two intervals: accepted→started, started→responded.
-        assert_eq!(trace.root.children.len(), 2);
-        let profile = PhaseProfile::from_trace(&trace);
-        let mut merged = profile.clone();
-        merged.merge(&PhaseProfile::from_trace(&record("req-b", 3000).to_trace()));
-        assert_eq!(merged.runs, 2);
-        assert_eq!(merged.wall_ns, 4000);
-        assert!(merged.phases.iter().any(|p| p.name == "started"));
+    fn the_access_log_line_is_a_view_of_the_record() {
+        let line = RequestSummary::of("req-1", &record(429)).access_log_line();
+        let expected = r#"{"id":"req-1","endpoint":"generate","status":429,"queue_wait_ns":7,"search_ns":300,"total_ns":1000,"cache":"hit","truncated":false}"#;
+        assert_eq!(line, expected);
     }
 }

@@ -163,7 +163,7 @@ const USAGE: &str = "usage:
                   [--cache-dir DIR] [--allow-fault-injection]
                   [--slow-threshold-ms N] [--flight-dir DIR]
                   [--access-log FILE|-]
-  cogent flight   <dump.json> [--top N]
+  cogent flight   <dump.jsonl> [--top N]
 
 every command also accepts --trace-out FILE to write its pipeline trace
 as cogent.trace.v3 JSON (\"-\" prints the stderr tree instead)
@@ -995,10 +995,14 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     cogent::generator::serve::run(config).map_err(|e| CliError::runtime(format!("{e}")))
 }
 
-/// Analyzes a `cogent.flight.v1` dump (from `--flight-dir` or
-/// `GET /v1/debug/flight`): tables the slowest requests with phase
-/// attribution, then merges every timeline into one phase profile.
+/// Analyzes a file of `{"label", "trace"}` JSON lines: a flight dump
+/// (from `--flight-dir` or `GET /v1/debug/flight`) or a figure binary's
+/// `results/*_traces.jsonl`. Tables the slowest records with their
+/// access-log columns and largest self-time phase, then merges every
+/// trace into one phase profile.
 fn cmd_flight(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    use cogent::obs::flight::{parse_lines, RequestSummary};
+    use cogent::obs::profile::PhaseProfile;
     let path = args
         .iter()
         .find(|a| !a.starts_with('-'))
@@ -1013,68 +1017,54 @@ fn cmd_flight(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     };
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-    let mut records = cogent::obs::flight::parse_dump(&text)
-        .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
+    let traces = parse_lines(&text).map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
+    let mut records: Vec<(RequestSummary, PhaseProfile)> = traces
+        .iter()
+        .map(|(id, t)| (RequestSummary::of(id, t), PhaseProfile::from_trace(t)))
+        .collect();
     if records.is_empty() {
         writeln!(out, "flight dump {path}: no recorded requests")?;
         return Ok(());
     }
-    records.sort_by_key(|r| std::cmp::Reverse(r.total_ns));
+    records.sort_by_key(|(summary, _)| std::cmp::Reverse(summary.total_ns));
 
-    writeln!(out, "flight dump {path}: {} request(s)", records.len())?;
-    writeln!(out)?;
+    let n = records.len();
+    writeln!(out, "flight dump {path}: {n} request(s)\n")?;
     writeln!(
         out,
         "{:<24} {:>4} {:<10} {:>12} {:>12} {:>12}  {:<5} slowest phase",
         "id", "code", "endpoint", "total_ms", "queue_ms", "search_ms", "cache"
     )?;
-    for record in records.iter().take(top) {
+    for (summary, profile) in records.iter().take(top) {
         let ms = |ns: u64| ns as f64 / 1e6;
-        let profile = cogent::obs::profile::PhaseProfile::from_trace(&record.to_trace());
         let slowest = profile
             .phases
-            .iter()
-            .max_by_key(|p| p.total_ns)
-            .map(|p| format!("{} ({:.1}ms)", p.name, p.total_ns as f64 / 1e6))
+            .first()
+            .map(|p| format!("{} ({:.1}ms)", p.name, p.self_ns as f64 / 1e6))
             .unwrap_or_else(|| "-".to_string());
         writeln!(
             out,
             "{:<24} {:>4} {:<10} {:>12.2} {:>12.2} {:>12.2}  {:<5} {}",
-            record.id,
-            record.status,
-            record.endpoint,
-            ms(record.total_ns),
-            ms(record.queue_wait_ns),
-            ms(record.search_ns),
-            record.cache,
+            summary.id,
+            summary.status,
+            summary.endpoint,
+            ms(summary.total_ns),
+            ms(summary.queue_wait_ns),
+            ms(summary.search_ns),
+            summary.cache,
             slowest
         )?;
     }
-    if records.len() > top {
-        writeln!(
-            out,
-            "... {} more (raise --top to see them)",
-            records.len() - top
-        )?;
+    if n > top {
+        writeln!(out, "... {} more (raise --top to see them)", n - top)?;
     }
 
-    let mut merged: Option<cogent::obs::profile::PhaseProfile> = None;
-    for record in &records {
-        let profile = cogent::obs::profile::PhaseProfile::from_trace(&record.to_trace());
-        match &mut merged {
-            None => merged = Some(profile),
-            Some(acc) => acc.merge(&profile),
-        }
+    let mut merged = records[0].1.clone();
+    for (_, profile) in &records[1..] {
+        merged.merge(profile);
     }
-    if let Some(merged) = merged {
-        writeln!(out)?;
-        writeln!(
-            out,
-            "--- merged phase attribution ({} requests) ---",
-            records.len()
-        )?;
-        write!(out, "{}", merged.render_table())?;
-    }
+    writeln!(out, "\n--- merged phase attribution ({n} requests) ---")?;
+    write!(out, "{}", merged.render_table())?;
     Ok(())
 }
 
@@ -1289,21 +1279,32 @@ mod tests {
 
     #[test]
     fn flight_command_analyzes_a_dump() {
-        use cogent::obs::flight::{FlightRecorder, FlightTimeline};
+        use cogent::obs::flight::FlightRecorder;
+        use cogent::obs::{PipelineTrace, SpanNode};
         let recorder = FlightRecorder::new(8);
         for (id, endpoint) in [("req-a", "generate"), ("req-b", "explain")] {
-            let mut timeline = FlightTimeline::start(id, endpoint);
-            timeline.mark("queued");
-            timeline.mark("started");
-            recorder.record(timeline.finish(200));
+            let mut root = SpanNode::closed(endpoint, 0, 3_000);
+            root.add_counter("serve.status.200", 1);
+            root.add_counter("cache.miss", 1);
+            root.children = vec![
+                SpanNode::closed("read", 0, 1_000),
+                SpanNode::closed("queue", 1_000, 500),
+                SpanNode::closed("serve.job", 1_500, 1_400),
+            ];
+            recorder.record(id.to_string(), PipelineTrace { root });
         }
-        let mut text = String::new();
-        recorder.to_json().write(&mut text);
-        let path = std::env::temp_dir().join("cogent_flight_cli_test.json");
-        std::fs::write(&path, &text).unwrap();
+        let path = std::env::temp_dir().join("cogent_flight_cli_test.jsonl");
+        std::fs::write(&path, recorder.to_lines()).unwrap();
         let path_s = path.to_str().unwrap().to_string();
 
-        assert!(cmd_flight(&s(&[&path_s]), &mut Vec::new()).is_ok());
+        let mut table = Vec::new();
+        assert!(cmd_flight(&s(&[&path_s]), &mut table).is_ok());
+        let table = String::from_utf8(table).unwrap();
+        assert!(table.contains("2 request(s)"), "{table}");
+        let row = table.lines().find(|l| l.starts_with("req-a")).unwrap();
+        let columns = "req-a 200 generate 0.00 0.00 0.00 miss serve.job (0.0ms)";
+        assert!(row.split_whitespace().eq(columns.split(' ')), "{row}");
+        assert!(table.contains("merged phase attribution (2 requests)"));
         assert!(cmd_flight(&s(&[&path_s, "--top", "1"]), &mut Vec::new()).is_ok());
         let e = cmd_flight(&s(&[&path_s, "--top", "0"]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2);
@@ -1311,6 +1312,11 @@ mod tests {
         std::fs::write(&path, "{\"schema\":\"bogus\"}").unwrap();
         assert!(cmd_flight(&s(&[&path_s]), &mut Vec::new()).is_err());
         let _ = std::fs::remove_file(&path);
+
+        // A figure binary's trace file reads the same way.
+        let traces = concat!(env!("CARGO_MANIFEST_DIR"), "/results/");
+        let traces = format!("{traces}pruning_stats_traces.jsonl");
+        assert!(cmd_flight(&s(&[&traces]), &mut Vec::new()).is_ok());
 
         let e = cmd_flight(&s(&[]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2, "missing dump argument is a usage error");
