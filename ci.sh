@@ -91,6 +91,9 @@ run cargo run --release $OFFLINE --manifest-path cogent-benchmark/Cargo.toml -- 
 # the workspace).
 run cargo test -q --manifest-path cogent-benchmark/Cargo.toml $OFFLINE
 run ./tools/unwrap_gate.sh
+# Lines of Rust per package (informational: the size ROADMAP aim 2
+# tracks; nothing gates on it).
+run ./tools/loc.sh
 run cargo clippy --workspace --all-targets $OFFLINE -- -D warnings
 run cargo fmt --all -- --check
 

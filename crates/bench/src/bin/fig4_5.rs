@@ -10,9 +10,8 @@ use std::error::Error;
 use std::io::Write;
 use std::process::ExitCode;
 
-use cogent_bench::{
-    fmt_gflops, geomean, parse_device, quick_mode, run_fig45_entry, run_figure, Fig45Row,
-};
+use cogent_bench::{fmt_gflops, geomean, quick_mode, run_fig45_entry, run_figure, Fig45Row};
+use cogent_core::request::{device_named, flag_value};
 use cogent_tccg::{suite, BenchGroup};
 
 fn main() -> ExitCode {
@@ -20,7 +19,7 @@ fn main() -> ExitCode {
 }
 
 fn figure(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
-    let device = parse_device(args)?;
+    let device = device_named(flag_value(args, "--device"))?;
     // Per-benchmark pipeline traces land next to the printed table as
     // JSON lines (results/fig4_5_traces.jsonl).
     cogent_obs::set_enabled(true);

@@ -14,7 +14,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use cogent_baselines::{measure_cogent, TcAutotuner};
-use cogent_bench::{geomean, parse_device, quick_mode, run_figure, with_published_trace};
+use cogent_bench::{geomean, quick_mode, run_figure, with_published_trace};
+use cogent_core::request::{device_named, flag_value};
 use cogent_gpu_model::Precision;
 use cogent_tccg::sd2_entries;
 
@@ -23,7 +24,7 @@ fn main() -> ExitCode {
 }
 
 fn figure(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
-    let device = parse_device(args)?;
+    let device = device_named(flag_value(args, "--device"))?;
     let quick = quick_mode(args);
     // COGENT's per-contraction pipeline traces go to results/ as JSONL.
     cogent_obs::set_enabled(true);

@@ -55,24 +55,6 @@ pub fn run_figure(
     }
 }
 
-/// Parses `--device p100|v100` from an argument list (defaults to V100).
-///
-/// # Errors
-///
-/// The usage message for any other device name.
-pub fn parse_device(args: &[String]) -> Result<GpuDevice, String> {
-    match args
-        .iter()
-        .position(|a| a == "--device")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some("p100") => Ok(GpuDevice::p100()),
-        Some("v100") | None => Ok(GpuDevice::v100()),
-        Some(other) => Err(format!("unknown device {other:?} (want v100 or p100)")),
-    }
-}
-
 /// Whether a `--quick` flag is present (binaries shrink their workloads).
 pub fn quick_mode(args: &[String]) -> bool {
     args.iter().any(|a| a == "--quick")
@@ -163,19 +145,6 @@ mod tests {
         assert!((geomean(&[4.0, 9.0]) - 6.0).abs() < 1e-12);
         assert!((geomean(&[5.0]) - 5.0).abs() < 1e-12);
         assert!(geomean(&[]).is_nan());
-    }
-
-    #[test]
-    fn parse_device_flags() {
-        let p = parse_device(&["--device".into(), "p100".into()]).unwrap();
-        assert_eq!(p.sm_count, 56);
-        let v = parse_device(&[]).unwrap();
-        assert_eq!(v.sm_count, 80);
-        let h = parse_device(&["--device".into(), "h100".into()]);
-        assert_eq!(
-            h.unwrap_err(),
-            "unknown device \"h100\" (want v100 or p100)"
-        );
     }
 
     #[test]

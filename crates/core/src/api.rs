@@ -324,6 +324,18 @@ impl Cogent {
         tc: &Contraction,
         sizes: &SizeMap,
     ) -> Result<GeneratedKernel, CogentError> {
+        self.generate_keeping_trace(tc, sizes, true)
+    }
+
+    /// [`Cogent::generate`]; with `keep_trace` off, for a caller whose own
+    /// open capture keeps the run, `kernel.trace` stays `None` instead of
+    /// holding a copy of it.
+    pub(crate) fn generate_keeping_trace(
+        &self,
+        tc: &Contraction,
+        sizes: &SizeMap,
+        keep_trace: bool,
+    ) -> Result<GeneratedKernel, CogentError> {
         if !sizes.covers(tc) {
             let missing: Vec<IndexName> = tc
                 .all_indices()
@@ -335,6 +347,8 @@ impl Cogent {
         // One capture per generation; when tracing is disabled this (and
         // every span below) is a single atomic load.
         let capture = cogent_obs::Capture::start("generate");
+        // Dropping the capture unfinished closes it without a copy.
+        let finish = || keep_trace.then(|| capture.finish()).flatten();
         let key = self.cache.as_ref().map(|cache| {
             (
                 cache,
@@ -351,7 +365,7 @@ impl Cogent {
             if let Some(mut hit) = cache.get(key) {
                 // Cached kernels carry no trace; attach this lookup's own
                 // (it records the cache.hit counter above).
-                hit.trace = capture.finish();
+                hit.trace = finish();
                 return Ok(hit);
             }
         }
@@ -366,7 +380,7 @@ impl Cogent {
                 cache.insert(key, kernel.clone());
             }
         }
-        kernel.trace = capture.finish();
+        kernel.trace = finish();
         Ok(kernel)
     }
 

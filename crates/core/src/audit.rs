@@ -23,10 +23,10 @@
 //! error against recorded values.
 //!
 //! Audits are spanned (`audit.contraction` with a nested `audit.measure`
-//! per re-measured configuration), so `cogent profile` can attribute
-//! audit wall time, and the `audit.*` counters/histograms/gauges recorded
-//! here merge into the process-global metrics registry exposed by
-//! `cogent stats` ([`cogent_obs::metrics_snapshot`]).
+//! per re-measured configuration), and the `audit.*` counter, histograms
+//! and gauges recorded on those spans merge into the process-global
+//! metrics registry ([`cogent_obs::metrics_snapshot`]), which `cogent
+//! serve` exposes at `/metrics` once `/v1/audit` has run.
 
 use std::time::Instant;
 

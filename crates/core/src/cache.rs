@@ -30,12 +30,11 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use cogent_gpu_model::debug_text::parse_value;
 use cogent_gpu_model::{GpuDevice, Precision};
-use cogent_ir::parse::parse_allowing_batch;
 use cogent_ir::{Contraction, SizeMap};
 
 use crate::api::{Cogent, GeneratedKernel};
+use crate::request::{contraction, size_list};
 
 /// Environment variable seeding [`KernelCache::from_env`]'s capacity.
 /// Unset, empty or unparsable values mean [`DEFAULT_CAPACITY`]; `0`
@@ -134,15 +133,8 @@ impl CacheKey {
     ///
     /// A one-line reason naming the part that does not parse back.
     pub(crate) fn generator(&self) -> Result<(Cogent, Contraction, SizeMap), String> {
-        let tc =
-            parse_allowing_batch(&self.contraction).map_err(|e| format!("contraction: {e}"))?;
-        let mut sizes = SizeMap::new();
-        for pair in self.sizes.split_terminator(',') {
-            let (index, extent) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("sizes: {pair:?} is not index=extent"))?;
-            sizes.set(index, parse_value(index, extent)?);
-        }
+        let tc = contraction(&self.contraction).map_err(|e| format!("contraction: {e}"))?;
+        let sizes = size_list(&tc, &self.sizes).map_err(|e| format!("sizes: {e}"))?;
         let gen = Cogent::from_options_fingerprint(&self.options)?
             .device(GpuDevice::from_debug_text(&self.device)?)
             .precision(self.precision);

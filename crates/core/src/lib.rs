@@ -48,6 +48,7 @@ pub mod guard;
 pub mod intern;
 pub mod library;
 pub mod persist;
+pub mod request;
 pub mod select;
 pub mod serve;
 

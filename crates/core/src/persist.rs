@@ -38,11 +38,11 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use cogent_gpu_model::Precision;
 use cogent_obs::json::Json;
 
 use crate::api::GeneratedKernel;
 use crate::cache::{CacheKey, KernelCache};
+use crate::request::precision_named;
 
 /// Environment variable naming the cache persistence directory. Unset or
 /// blank means persistence is off (see [`parse_cache_dir`]).
@@ -402,11 +402,7 @@ fn hash_hex(source: &str) -> Json {
 }
 
 fn decode_entry(json: &Json) -> Result<StoredEntry, String> {
-    let precision = match get_str(json, "precision")? {
-        "f32" => Precision::F32,
-        "f64" => Precision::F64,
-        other => return Err(format!("unknown precision {other:?}")),
-    };
+    let precision = precision_named(Some(get_str(json, "precision")?)).map_err(|e| e.message)?;
     let hash = |key: &str| {
         u64::from_str_radix(get_str(json, key)?, 16)
             .map_err(|_| format!("member {key:?} is not a 16-hex-digit hash"))
@@ -457,7 +453,7 @@ mod tests {
     use crate::codegen::PassConfig;
     use crate::guard::PlanSource;
     use crate::{Cogent, EnumerationOptions, PruneRules, SearchOptions};
-    use cogent_gpu_model::GpuDevice;
+    use cogent_gpu_model::{GpuDevice, Precision};
     use cogent_gpu_sim::plan::StoreMode;
     use cogent_ir::{Contraction, SizeMap};
     use std::sync::atomic::{AtomicU64, Ordering};

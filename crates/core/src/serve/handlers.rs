@@ -8,76 +8,45 @@
 
 use std::time::{Duration, Instant};
 
-use cogent_gpu_model::{GpuDevice, Precision};
-use cogent_gpu_sim::plan::StoreMode;
-use cogent_ir::{Contraction, SizeMap};
 use cogent_obs::json::Json;
 
-use crate::audit::{audit_contraction, AuditOptions};
+use crate::audit::{audit_contraction, AuditOptions, AuditReport};
 use crate::cache::CacheKey;
 use crate::guard::{CogentError, PlanSource, Provenance};
+use crate::request::Request;
 use crate::select::SearchOptions;
-use crate::{Cogent, GeneratedKernel};
+use crate::GeneratedKernel;
 
 use super::fault::ServeFault;
 use super::http::Response;
 use super::SharedState;
 
-/// One fully validated generation request.
+/// Schema id of the kernel document `/v1/generate`, `/v1/explain` and
+/// each `/v1/batch` result carry.
+const KERNEL_SCHEMA: &str = "cogent.kernel.v1";
+
+/// One request as served: the [`Request`] plus the fault its `inject`
+/// member asks a chaos-test server for.
 #[derive(Debug, Clone)]
-pub struct GenerateSpec {
-    /// The contraction to generate for.
-    pub tc: Contraction,
-    /// Representative extents.
-    pub sizes: SizeMap,
-    /// Target device.
-    pub device: GpuDevice,
-    /// Arithmetic precision.
-    pub precision: Precision,
-    /// Output semantics.
-    pub store_mode: StoreMode,
-    /// Chaos-test fault to apply in the worker (only ever `Some` when the
-    /// server allows fault injection).
+pub struct Served {
+    /// The generation request.
+    pub request: Request,
+    /// The fault the worker applies first, if any.
     pub fault: Option<ServeFault>,
 }
 
 /// What a worker should do for one admitted request.
 #[derive(Debug, Clone)]
 pub enum JobKind {
-    /// `POST /v1/generate`: full kernel (sources included).
-    Generate(GenerateSpec),
-    /// `POST /v1/explain`: search/provenance summary, no sources.
-    Explain(GenerateSpec),
+    /// `POST /v1/generate`: the kernel document, sources included.
+    Generate(Served),
+    /// `POST /v1/explain`: the kernel document without the sources.
+    Explain(Served),
     /// `POST /v1/batch`: several generations in one request.
-    Batch(Vec<GenerateSpec>),
-    /// `POST /v1/audit`: model-accuracy audit for one contraction.
-    Audit {
-        /// The contraction + platform under audit.
-        spec: GenerateSpec,
-        /// How many top configurations to re-measure.
-        top_k: usize,
-    },
-}
-
-impl JobKind {
-    /// The fault injected into this job, if any.
-    pub fn fault(&self) -> Option<ServeFault> {
-        match self {
-            JobKind::Generate(spec) | JobKind::Explain(spec) => spec.fault,
-            JobKind::Audit { spec, .. } => spec.fault,
-            JobKind::Batch(jobs) => jobs.iter().find_map(|spec| spec.fault),
-        }
-    }
-
-    /// Endpoint label for metrics.
-    pub fn endpoint(&self) -> &'static str {
-        match self {
-            JobKind::Generate(_) => "generate",
-            JobKind::Explain(_) => "explain",
-            JobKind::Batch(_) => "batch",
-            JobKind::Audit { .. } => "audit",
-        }
-    }
+    Batch(Vec<Served>),
+    /// `POST /v1/audit`: model-accuracy audit of the `top_k` best
+    /// configurations of one contraction.
+    Audit(Served, usize),
 }
 
 /// A 400 with a typed code, used by every parse failure.
@@ -85,7 +54,7 @@ fn bad_request(code: &str, detail: &str) -> Response {
     Response::error(400, "Bad Request", code, detail)
 }
 
-/// Parses the JSON body of a POST endpooint into a [`JobKind`] plus the
+/// Parses the JSON body of a POST endpoint into a [`JobKind`] plus the
 /// request deadline.
 ///
 /// # Errors
@@ -102,8 +71,8 @@ pub fn parse_job(
         .map_err(|e| bad_request("malformed_request", &format!("body is not JSON: {e}")))?;
     let deadline = parse_deadline(&json, state)?;
     let kind = match path {
-        "/v1/generate" => JobKind::Generate(parse_spec(&json, state)?),
-        "/v1/explain" => JobKind::Explain(parse_spec(&json, state)?),
+        "/v1/generate" => JobKind::Generate(parse_request(&json, state)?),
+        "/v1/explain" => JobKind::Explain(parse_request(&json, state)?),
         "/v1/audit" => {
             let top_k = match json.get("top_k") {
                 None => 8,
@@ -115,10 +84,7 @@ pub fn parse_job(
                         bad_request("invalid_argument", "top_k must be an integer in 1..=64")
                     })?,
             };
-            JobKind::Audit {
-                spec: parse_spec(&json, state)?,
-                top_k,
-            }
+            JobKind::Audit(parse_request(&json, state)?, top_k)
         }
         "/v1/batch" => {
             let jobs = json
@@ -134,11 +100,8 @@ pub fn parse_job(
                     "at most 64 jobs per batch request",
                 ));
             }
-            let specs = jobs
-                .iter()
-                .map(|job| parse_spec(job, state))
-                .collect::<Result<Vec<_>, _>>()?;
-            JobKind::Batch(specs)
+            let served = jobs.iter().map(|job| parse_request(job, state));
+            JobKind::Batch(served.collect::<Result<_, _>>()?)
         }
         other => {
             return Err(Response::error(
@@ -152,58 +115,10 @@ pub fn parse_job(
     Ok((kind, deadline))
 }
 
-/// Parses one generation spec object (the whole body for single-kernel
-/// endpoints, one element of `jobs` for batches).
-fn parse_spec(json: &Json, state: &SharedState) -> Result<GenerateSpec, Response> {
-    let spec = json
-        .get("contraction")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad_request("invalid_contraction", "missing contraction member"))?;
-    let tc: Contraction = spec
-        .parse()
-        .map_err(|e| bad_request("invalid_contraction", &format!("{e}")))?;
-    let sizes = parse_sizes(json, &tc)?;
-    if !sizes.covers(&tc) {
-        let missing: Vec<String> = tc
-            .all_indices()
-            .filter(|i| sizes.extent(i).is_none())
-            .map(|i| i.to_string())
-            .collect();
-        return Err(bad_request(
-            "incomplete_sizes",
-            &format!("missing extents for {}", missing.join(", ")),
-        ));
-    }
-    let device = match json.get("device").and_then(Json::as_str) {
-        None | Some("v100") => GpuDevice::v100(),
-        Some("p100") => GpuDevice::p100(),
-        Some(other) => {
-            return Err(bad_request(
-                "unknown_device",
-                &format!("unknown device {other:?} (want v100 or p100)"),
-            ))
-        }
-    };
-    let precision = match json.get("precision").and_then(Json::as_str) {
-        None | Some("f64") => Precision::F64,
-        Some("f32") => Precision::F32,
-        Some(other) => {
-            return Err(bad_request(
-                "unknown_precision",
-                &format!("unknown precision {other:?} (want f32 or f64)"),
-            ))
-        }
-    };
-    let store_mode = match json.get("store_mode").and_then(Json::as_str) {
-        None | Some("assign") => StoreMode::Assign,
-        Some("accumulate") => StoreMode::Accumulate,
-        Some(other) => {
-            return Err(bad_request(
-                "unknown_store_mode",
-                &format!("unknown store mode {other:?} (want assign or accumulate)"),
-            ))
-        }
-    };
+/// Parses one generation request (the whole body for single-kernel
+/// endpoints, one element of `jobs` for batches) and its `inject` member.
+fn parse_request(json: &Json, state: &SharedState) -> Result<Served, Response> {
+    let request = Request::from_json(json).map_err(|e| bad_request(e.code, &e.message))?;
     let fault = match ServeFault::from_request(json) {
         Ok(None) => None,
         Ok(Some(fault)) if state.allow_fault_injection => Some(fault),
@@ -215,48 +130,7 @@ fn parse_spec(json: &Json, state: &SharedState) -> Result<GenerateSpec, Response
         }
         Err(why) => return Err(bad_request("invalid_argument", &why)),
     };
-    Ok(GenerateSpec {
-        tc,
-        sizes,
-        device,
-        precision,
-        store_mode,
-        fault,
-    })
-}
-
-fn parse_sizes(json: &Json, tc: &Contraction) -> Result<SizeMap, Response> {
-    if let Some(uniform) = json.get("uniform") {
-        let extent = uniform
-            .as_u128()
-            .and_then(|v| usize::try_from(v).ok())
-            .filter(|v| *v > 0)
-            .ok_or_else(|| bad_request("invalid_sizes", "uniform must be a positive integer"))?;
-        return Ok(SizeMap::uniform(tc, extent));
-    }
-    let Some(Json::Object(members)) = json.get("sizes") else {
-        return Err(bad_request(
-            "invalid_sizes",
-            "need sizes (object of index: extent) or uniform (integer)",
-        ));
-    };
-    let mut pairs: Vec<(String, usize)> = Vec::with_capacity(members.len());
-    for (name, extent) in members {
-        let extent = extent
-            .as_u128()
-            .and_then(|v| usize::try_from(v).ok())
-            .filter(|v| *v > 0)
-            .ok_or_else(|| {
-                bad_request(
-                    "invalid_sizes",
-                    &format!("extent of {name:?} must be a positive integer"),
-                )
-            })?;
-        pairs.push((name.clone(), extent));
-    }
-    Ok(SizeMap::from_pairs(
-        pairs.iter().map(|(n, e)| (n.as_str(), *e)),
-    ))
+    Ok(Served { request, fault })
 }
 
 fn parse_deadline(json: &Json, state: &SharedState) -> Result<Instant, Response> {
@@ -276,18 +150,6 @@ fn parse_deadline(json: &Json, state: &SharedState) -> Result<Instant, Response>
     Ok(Instant::now() + timeout)
 }
 
-/// The generator used for cache keys and actual searches. The
-/// per-request deadline is applied only to the search itself, as its
-/// `time_budget`; the cache key does not depend on it, because
-/// [`Cogent::options_fingerprint`] leaves the budget out (a warm hit is a
-/// warm hit however patient the client is).
-fn base_generator(spec: &GenerateSpec) -> Cogent {
-    Cogent::new()
-        .device(spec.device.clone())
-        .precision(spec.precision)
-        .store_mode(spec.store_mode)
-}
-
 /// Runs one admitted job. Called from a worker inside the panic-isolation
 /// boundary; `deadline` is the request deadline (already checked to be in
 /// the future when the job was dequeued). The request's facts — cache
@@ -297,13 +159,13 @@ fn base_generator(spec: &GenerateSpec) -> Cogent {
 /// the whole request.
 pub fn execute(kind: &JobKind, deadline: Instant, state: &SharedState) -> Response {
     match kind {
-        JobKind::Generate(spec) => generate_response(spec, deadline, state, true),
-        JobKind::Explain(spec) => generate_response(spec, deadline, state, false),
-        JobKind::Batch(specs) => {
-            let results: Vec<Json> = specs
+        JobKind::Generate(served) => generate_response(served, deadline, state, true),
+        JobKind::Explain(served) => generate_response(served, deadline, state, false),
+        JobKind::Batch(batch) => {
+            let results: Vec<Json> = batch
                 .iter()
-                .map(|spec| {
-                    let response = generate_response(spec, deadline, state, true);
+                .map(|served| {
+                    let response = generate_response(served, deadline, state, true);
                     match Json::parse(&response.body) {
                         Ok(json) => Json::obj([
                             ("status", Json::UInt(u128::from(response.status))),
@@ -315,7 +177,7 @@ pub fn execute(kind: &JobKind, deadline: Instant, state: &SharedState) -> Respon
                 .collect();
             Response::json(200, "OK", &Json::obj([("results", Json::Array(results))]))
         }
-        JobKind::Audit { spec, top_k } => audit_response(spec, *top_k, deadline),
+        JobKind::Audit(served, top_k) => audit_response(served, *top_k, deadline),
     }
 }
 
@@ -331,23 +193,27 @@ fn count_provenance(provenance: &Provenance) {
     cogent_obs::counter(&name, 1);
 }
 
-/// Generation with explicit cache handling.
+/// Generation with explicit cache handling. A cold kernel is rendered
+/// before it moves into the cache, and its search is recorded in the
+/// worker's capture only, so neither is copied.
 fn generate_response(
-    spec: &GenerateSpec,
+    Served { request, fault }: &Served,
     deadline: Instant,
     state: &SharedState,
     with_sources: bool,
 ) -> Response {
-    if let Some(fault) = spec.fault {
+    if let Some(fault) = fault {
         fault.apply();
     }
-    let base = base_generator(spec);
+    let generator = request.generator();
+    // The deadline only budgets the search: the cache key leaves the
+    // budget out (see `Cogent::options_fingerprint`).
     let key = CacheKey::new(
-        &spec.tc,
-        &spec.sizes,
-        &spec.device,
-        spec.precision,
-        &base.options_fingerprint(),
+        &request.contraction,
+        &request.sizes,
+        &request.device,
+        request.precision,
+        &generator.options_fingerprint(),
     );
     if let Some(hit) = state.cache.get(&key) {
         count_provenance(&hit.provenance);
@@ -362,7 +228,11 @@ fn generate_response(
     };
     let result = {
         let _search = cogent_obs::span("serve.search");
-        base.search_options(options).generate(&spec.tc, &spec.sizes)
+        generator.search_options(options).generate_keeping_trace(
+            &request.contraction,
+            &request.sizes,
+            false,
+        )
     };
     match result {
         Ok(kernel) => {
@@ -370,24 +240,22 @@ fn generate_response(
                 cogent_obs::counter("serve.truncated", 1);
             }
             count_provenance(&kernel.provenance);
+            let response = Response::json(200, "OK", &kernel_json(&kernel, "miss", with_sources));
             // Only cache (and persist) complete searches: a
             // deadline-truncated search is not the canonical kernel for
             // this key, and caching it would break warm-path
             // byte-identity for later, more patient callers.
             if !kernel.search.truncated {
-                state.cache.insert(key, kernel.clone());
+                state.cache.insert(key, kernel);
                 if let Some(persister) = &state.persister {
                     if persister.save_dirty(&state.cache).is_err() {
                         cogent_obs::counter("serve.persist.error", 1);
                     }
                 }
             }
-            Response::json(200, "OK", &kernel_json(&kernel, "miss", with_sources))
+            response
         }
         Err(CogentError::BudgetExhausted { .. }) => deadline_response(),
-        Err(err @ CogentError::IncompleteSizes { .. }) => {
-            Response::error(400, "Bad Request", "incomplete_sizes", &err.to_string())
-        }
         Err(err @ (CogentError::NoConfiguration | CogentError::NoViablePlan { .. })) => {
             Response::error(
                 422,
@@ -415,8 +283,10 @@ pub fn deadline_response() -> Response {
     )
 }
 
-fn audit_response(spec: &GenerateSpec, top_k: usize, deadline: Instant) -> Response {
-    if let Some(fault) = spec.fault {
+/// `/v1/audit`: the `cogent.audit.v1` report of the one contraction,
+/// the document `cogent audit <spec> --json` prints.
+fn audit_response(Served { request, fault }: &Served, top_k: usize, deadline: Instant) -> Response {
+    if let Some(fault) = fault {
         fault.apply();
     }
     let Some(budget) = deadline.checked_duration_since(Instant::now()) else {
@@ -430,23 +300,22 @@ fn audit_response(spec: &GenerateSpec, top_k: usize, deadline: Instant) -> Respo
         },
         ..AuditOptions::default()
     };
-    let name = spec
-        .tc
-        .to_tccg_string()
-        .unwrap_or_else(|| spec.tc.to_string());
     let result = {
         let _audit = cogent_obs::span("serve.audit");
         audit_contraction(
-            &name,
-            &spec.tc,
-            &spec.sizes,
-            &spec.device,
-            spec.precision,
+            &request.spec,
+            &request.contraction,
+            &request.sizes,
+            &request.device,
+            request.precision,
             &options,
         )
     };
     match result {
-        Ok(audit) => Response::json(200, "OK", &audit_json(&audit)),
+        Ok(audit) => {
+            let report = AuditReport::from_contractions(top_k, vec![audit]);
+            Response::json(200, "OK", &report.to_json())
+        }
         Err(CogentError::BudgetExhausted { .. }) => deadline_response(),
         Err(err) => Response::error(
             422,
@@ -457,104 +326,54 @@ fn audit_response(spec: &GenerateSpec, top_k: usize, deadline: Instant) -> Respo
     }
 }
 
-/// The response body for `/v1/audit`: the rank-quality summary plus the
-/// per-configuration relative errors.
-fn audit_json(audit: &crate::audit::ContractionAudit) -> Json {
-    let configs: Vec<Json> = audit
-        .configs
-        .iter()
-        .map(|config| {
-            Json::obj([
-                ("model_rank", Json::UInt(config.model_rank as u128)),
-                ("predicted", Json::UInt(config.predicted.total())),
-                ("measured", Json::UInt(config.measured.total())),
-                ("rel_error", Json::Float(config.rel_error())),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("name", Json::Str(audit.name.clone())),
-        ("spec", Json::Str(audit.spec.clone())),
-        ("spearman", Json::Float(audit.spearman)),
-        ("regret", Json::Float(audit.regret)),
-        ("configs", Json::Array(configs)),
-    ])
-}
-
-/// The response body for generate/explain/batch results. Every member is
-/// a pure function of the (persisted) kernel plus the `cache` marker, so
-/// warm responses are byte-identical across a server restart.
+/// The kernel document (`cogent.kernel.v1`), its only writer. Every
+/// member is a pure function of the (persisted) kernel plus the `cache`
+/// marker, so warm responses are byte-identical across a server restart.
 fn kernel_json(kernel: &GeneratedKernel, cache: &str, with_sources: bool) -> Json {
-    let mut members: Vec<(String, Json)> = vec![
+    let (report, search) = (&kernel.report, &kernel.search);
+    let contraction = kernel.contraction.to_tccg_string();
+    let passes = kernel
+        .provenance
+        .passes
+        .iter()
+        .map(|p| Json::from(p.as_str()));
+    let mut members = vec![
+        ("schema", Json::from(KERNEL_SCHEMA)),
         (
-            "contraction".to_string(),
-            Json::Str(
-                kernel
-                    .contraction
-                    .to_tccg_string()
-                    .unwrap_or_else(|| kernel.contraction.to_string()),
-            ),
+            "contraction",
+            Json::from(contraction.unwrap_or_else(|| kernel.contraction.to_string())),
         ),
-        ("config".to_string(), Json::Str(kernel.config.to_string())),
+        ("config", Json::from(kernel.config.to_string())),
+        ("provenance", Json::from(kernel.provenance.to_string())),
+        ("passes", Json::Array(passes.collect())),
+        ("gflops", Json::from(report.gflops)),
+        ("predicted_time_s", Json::from(report.time.total_s)),
+        ("blocks", Json::from(report.blocks)),
+        ("threads_per_block", Json::from(report.threads_per_block)),
+        ("smem_bytes", Json::from(report.smem_bytes)),
         (
-            "provenance".to_string(),
-            Json::Str(kernel.provenance.to_string()),
-        ),
-        (
-            "passes".to_string(),
-            Json::Array(
-                kernel
-                    .provenance
-                    .passes
-                    .iter()
-                    .map(|p| Json::Str(p.clone()))
-                    .collect(),
-            ),
-        ),
-        ("gflops".to_string(), Json::Float(kernel.report.gflops)),
-        (
-            "predicted_time_s".to_string(),
-            Json::Float(kernel.report.time.total_s),
-        ),
-        (
-            "blocks".to_string(),
-            Json::UInt(kernel.report.blocks as u128),
-        ),
-        (
-            "threads_per_block".to_string(),
-            Json::UInt(kernel.report.threads_per_block as u128),
-        ),
-        (
-            "smem_bytes".to_string(),
-            Json::UInt(kernel.report.smem_bytes as u128),
-        ),
-        (
-            "search".to_string(),
+            "search",
             Json::obj([
-                ("enumerated", Json::UInt(kernel.search.enumerated as u128)),
-                ("survivors", Json::UInt(kernel.search.survivors as u128)),
-                ("truncated", Json::Bool(kernel.search.truncated)),
+                ("enumerated", Json::from(search.enumerated)),
+                ("survivors", Json::from(search.survivors)),
+                ("truncated", Json::from(search.truncated)),
             ]),
         ),
-        ("cache".to_string(), Json::Str(cache.to_string())),
+        ("cache", Json::from(cache)),
     ];
     if with_sources {
-        members.push((
-            "cuda_source".to_string(),
-            Json::Str(kernel.cuda_source.clone()),
-        ));
-        members.push((
-            "opencl_source".to_string(),
-            Json::Str(kernel.opencl_source.clone()),
-        ));
+        members.push(("cuda_source", Json::from(kernel.cuda_source.as_str())));
+        members.push(("opencl_source", Json::from(kernel.opencl_source.as_str())));
     }
-    Json::Object(members)
+    Json::obj(members)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::KernelCache;
+    use cogent_gpu_model::Precision;
+    use cogent_gpu_sim::plan::StoreMode;
     use std::sync::Arc;
 
     fn test_state(allow_faults: bool) -> SharedState {
@@ -575,13 +394,13 @@ mod tests {
         )
         .unwrap();
         assert!(deadline > Instant::now());
-        let JobKind::Generate(spec) = kind else {
+        let JobKind::Generate(Served { request, fault }) = kind else {
             panic!("wrong kind");
         };
-        assert_eq!(spec.tc.to_tccg_string().unwrap(), "ij-ik-kj");
-        assert_eq!(spec.sizes.extent("i"), Some(16));
-        assert_eq!(spec.precision, Precision::F64);
-        assert!(spec.fault.is_none());
+        assert_eq!(request.contraction.to_tccg_string().unwrap(), "ij-ik-kj");
+        assert_eq!(request.sizes.extent("i"), Some(16));
+        assert_eq!(request.precision, Precision::F64);
+        assert!(fault.is_none());
     }
 
     #[test]
@@ -590,13 +409,13 @@ mod tests {
         let body = r#"{"contraction":"ij-ik-kj","sizes":{"i":8,"j":12,"k":16},
                        "device":"p100","precision":"f32","store_mode":"accumulate"}"#;
         let (kind, _) = parse("/v1/generate", body, &state).unwrap();
-        let JobKind::Generate(spec) = kind else {
+        let JobKind::Generate(Served { request, .. }) = kind else {
             panic!("wrong kind");
         };
-        assert_eq!(spec.device.name, "Tesla P100");
-        assert_eq!(spec.precision, Precision::F32);
-        assert_eq!(spec.store_mode, StoreMode::Accumulate);
-        assert_eq!(spec.sizes.extent("j"), Some(12));
+        assert_eq!(request.device.name, "Tesla P100");
+        assert_eq!(request.precision, Precision::F32);
+        assert_eq!(request.store_mode, StoreMode::Accumulate);
+        assert_eq!(request.sizes.extent("j"), Some(12));
     }
 
     #[test]
@@ -614,6 +433,10 @@ mod tests {
             (
                 r#"{"contraction":"ij-ik-kj","sizes":{"i":8}}"#,
                 "incomplete_sizes",
+            ),
+            (
+                r#"{"contraction":"ij-ik-kj","sizes":{"i":8,"1x":8,"k":8}}"#,
+                "invalid_sizes",
             ),
             (
                 r#"{"contraction":"ij-ik-kj","uniform":8,"device":"tpu"}"#,
@@ -636,21 +459,23 @@ mod tests {
         let resp = parse("/v1/generate", body, &test_state(false)).unwrap_err();
         assert!(resp.body.contains("fault_injection_disabled"));
         let (kind, _) = parse("/v1/generate", body, &test_state(true)).unwrap();
-        assert_eq!(kind.fault(), Some(ServeFault::WorkerPanic));
+        let fault = Some(ServeFault::WorkerPanic);
+        assert!(matches!(kind, JobKind::Generate(Served { fault: f, .. }) if f == fault));
     }
 
     #[test]
     fn batch_parses_each_job() {
+        // The second job has a batch index, which parses as from the CLI.
         let state = test_state(false);
         let body = r#"{"jobs":[
             {"contraction":"ij-ik-kj","uniform":8},
-            {"contraction":"abc-bda-dc","uniform":4}
+            {"contraction":"ijn-ikn-kjn","uniform":4}
         ]}"#;
         let (kind, _) = parse("/v1/batch", body, &state).unwrap();
-        let JobKind::Batch(specs) = kind else {
+        let JobKind::Batch(batch) = kind else {
             panic!("wrong kind")
         };
-        assert_eq!(specs.len(), 2);
+        assert_eq!(batch.len(), 2);
         assert!(parse("/v1/batch", r#"{"jobs":[]}"#, &state).is_err());
     }
 

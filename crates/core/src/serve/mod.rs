@@ -51,7 +51,7 @@ use crate::cache::KernelCache;
 use crate::persist::{CachePersister, PersistError};
 
 pub use fault::ServeFault;
-pub use handlers::{GenerateSpec, JobKind};
+pub use handlers::{JobKind, Served};
 pub use http::{ReadLimits, Request, Response};
 pub use queue::{JobQueue, PushError};
 
@@ -297,6 +297,8 @@ impl SharedState {
 /// reply channel, which the connection thread answers as a `503`.
 struct Job {
     kind: handlers::JobKind,
+    /// The endpoint's label (`generate`, ...), naming the record's root.
+    endpoint: String,
     deadline: Instant,
     /// The request id; the worker closes the request's record.
     id: String,
@@ -718,22 +720,22 @@ fn dispatch(
     accepted: Instant,
     id: &str,
 ) -> Response {
+    let endpoint = endpoint_label(path);
     if state.draining() {
-        let endpoint = endpoint_label(path);
         return state.answer_inline(id, accepted, &endpoint, None, draining_response());
     }
     let (kind, deadline) = match handlers::parse_job(path, body, state) {
         Ok(parsed) => parsed,
         Err(response) => {
-            let (endpoint, fact) = (endpoint_label(path), Some("serve.request.rejected"));
+            let fact = Some("serve.request.rejected");
             return state.answer_inline(id, accepted, &endpoint, fact, response);
         }
     };
-    let endpoint = kind.endpoint();
     cogent_obs::counter(&format!("serve.request.{endpoint}"), 1);
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     let job = Job {
         kind,
+        endpoint: endpoint.clone(),
         deadline,
         id: id.to_string(),
         accepted,
@@ -754,10 +756,10 @@ fn dispatch(
                 queue.retry_after_secs(worker_count).to_string(),
             );
             let fact = Some("serve.backpressure.rejected");
-            return state.answer_inline(id, accepted, endpoint, fact, response);
+            return state.answer_inline(id, accepted, &endpoint, fact, response);
         }
         Err(PushError::Closed(_)) => {
-            return state.answer_inline(id, accepted, endpoint, None, draining_response());
+            return state.answer_inline(id, accepted, &endpoint, None, draining_response());
         }
     }
     // The worker enforces the deadline itself (expired-in-queue jobs
@@ -886,7 +888,7 @@ fn worker_loop(queue: &Arc<JobQueue<Job>>, state: &Arc<SharedState>) {
         queue.record_latency(started.elapsed());
         let job_trace = capture.finish();
         let response = response.with_request_id(&job.id);
-        let mut root = request_root(job.kind.endpoint(), job.accepted, response.status);
+        let mut root = request_root(&job.endpoint, job.accepted, response.status);
         // The connection may have given up (timeout / disconnect); an
         // unreceived reply is not an error.
         let _ = job.reply.send(response);

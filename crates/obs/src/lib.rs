@@ -516,7 +516,8 @@ pub fn init_from_env() -> bool {
     enabled()
 }
 
-/// Total [`SpanNode`]s ever allocated by the tracing machinery. Used to
+/// Total [`SpanNode`]s ever allocated by the tracing machinery, the
+/// copies a nested capture's [`Capture::finish`] makes included. Used to
 /// assert that disabled tracing allocates nothing.
 pub fn nodes_allocated() -> usize {
     NODES_ALLOCATED.load(Ordering::Relaxed)
@@ -700,10 +701,12 @@ impl Capture {
     /// Closes the capture and returns its trace (`None` when tracing was
     /// disabled at [`start`](Self::start)).
     pub fn finish(mut self) -> Option<PipelineTrace> {
-        self.close()
+        self.close(true)
     }
 
-    fn close(&mut self) -> Option<PipelineTrace> {
+    /// Closes the span; a nested capture copies its subtree only when
+    /// `keep` asks for the trace (the parent keeps the original).
+    fn close(&mut self, keep: bool) -> Option<PipelineTrace> {
         if !self.active {
             return None;
         }
@@ -715,15 +718,20 @@ impl Capture {
             registry::fold_span(&node);
             if self.owns {
                 *slot = None;
-                Some(PipelineTrace { root: node })
-            } else {
-                let mut subtree = node.clone();
-                if let Some(parent) = builder.stack.last_mut() {
-                    parent.children.push(node);
-                }
-                subtree.shift(-(subtree.start_ns as i64));
-                Some(PipelineTrace { root: subtree })
+                return Some(PipelineTrace { root: node });
             }
+            let subtree = keep.then(|| node.clone());
+            if let Some(parent) = builder.stack.last_mut() {
+                parent.children.push(node);
+            }
+            subtree.map(|mut root| {
+                fn count(node: &SpanNode) -> usize {
+                    1 + node.children.iter().map(count).sum::<usize>()
+                }
+                NODES_ALLOCATED.fetch_add(count(&root), Ordering::Relaxed);
+                root.shift(-(root.start_ns as i64));
+                PipelineTrace { root }
+            })
         })
     }
 }
@@ -731,9 +739,9 @@ impl Capture {
 impl Drop for Capture {
     fn drop(&mut self) {
         // Keeps the thread-local stack balanced when a capture is dropped
-        // without finish() (e.g. on an early return); the trace (or, for a
-        // nested capture, its standalone clone) is discarded.
-        let _ = self.close();
+        // without finish() (e.g. on an early return); the trace is
+        // discarded, and a nested capture copies nothing.
+        let _ = self.close(false);
     }
 }
 
@@ -957,6 +965,28 @@ mod tests {
         // The outer trace still contains the full tree.
         assert_eq!(outer.root.name, "cli");
         assert!(outer.find("codegen").is_some());
+    }
+
+    #[test]
+    fn dropped_nested_capture_copies_nothing() {
+        let (kept, dropped, outer) = with_tracing(|| {
+            let outer = Capture::start("cli");
+            let [kept, dropped] = [true, false].map(|keep| {
+                let before = nodes_allocated();
+                let inner = Capture::start("generate");
+                drop(span("search"));
+                if keep {
+                    assert!(inner.finish().is_some());
+                } else {
+                    drop(inner);
+                }
+                nodes_allocated() - before
+            });
+            (kept, dropped, outer.finish().unwrap())
+        });
+        assert_eq!(dropped, 2, "the two spans, and no copy of them");
+        assert_eq!(kept, 4, "finish() copies the two-span subtree");
+        assert_eq!(outer.find_all("generate").len(), 2, "both stay nested");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Metric types beyond monotone counters: log-bucketed [`Histogram`]s
-//! with percentile summaries, and last-value [`Gauge`]s.
+//! The metric type beyond counters and last-value gauges: log-bucketed
+//! [`Histogram`]s with percentile summaries.
 //!
 //! A histogram buckets `u128` samples by bit length (bucket 0 holds
 //! zeros; bucket *b* ≥ 1 covers `[2^(b-1), 2^b)`), so recording is O(1),
@@ -214,30 +214,6 @@ impl Histogram {
     }
 }
 
-/// A last-value metric: [`set`](Gauge::set) overwrites rather than
-/// accumulates (occupancy, correlation coefficients, queue depths).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Gauge {
-    value: f64,
-}
-
-impl Gauge {
-    /// A gauge holding `value`.
-    pub fn new(value: f64) -> Self {
-        Self { value }
-    }
-
-    /// Overwrites the current value.
-    pub fn set(&mut self, value: f64) {
-        self.value = value;
-    }
-
-    /// The most recently set value.
-    pub fn get(&self) -> f64 {
-        self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,15 +325,5 @@ mod tests {
         h.record(u128::MAX);
         assert_eq!(h.sum(), u128::MAX);
         assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn gauge_overwrites() {
-        let mut g = Gauge::default();
-        assert_eq!(g.get(), 0.0);
-        g.set(0.75);
-        g.set(-2.5);
-        assert_eq!(g.get(), -2.5);
-        assert_eq!(Gauge::new(1.5).get(), 1.5);
     }
 }

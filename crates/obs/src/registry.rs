@@ -46,16 +46,6 @@ pub fn drain() -> Vec<(String, PipelineTrace)> {
     std::mem::take(&mut *REGISTRY.lock().expect("trace registry poisoned"))
 }
 
-/// Number of traces currently queued.
-pub fn len() -> usize {
-    REGISTRY.lock().expect("trace registry poisoned").len()
-}
-
-/// Whether the registry is empty.
-pub fn is_empty() -> bool {
-    len() == 0
-}
-
 // ---------------------------------------------------------------------------
 // Global metrics: per-thread shards, drain-on-join, lossless merge
 // ---------------------------------------------------------------------------
@@ -408,7 +398,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(len(), 4);
         let mut drained = drain();
         drained.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(drained.len(), 4);

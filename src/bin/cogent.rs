@@ -28,10 +28,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use cogent::baselines::{measure_cogent, NwchemLikeGenerator, TtgtEngine};
-use cogent::generator::codegen::{emit_backend_kernel_with_passes, Backend, PassConfig};
+use cogent::generator::codegen::{emit_backend_kernel_with_passes, Backend};
+use cogent::generator::request::{flag_value, has_flag, Request, RequestError};
 use cogent::generator::select::{search, SearchOptions};
 use cogent::prelude::*;
-use cogent::sim::plan::StoreMode;
 
 /// A CLI failure, classified for the exit code: `2` for malformed
 /// invocations (bad flags, sizes, devices — one-line diagnostic), `1` for
@@ -70,6 +70,13 @@ impl From<String> for CliError {
 impl From<&str> for CliError {
     fn from(message: &str) -> Self {
         CliError::runtime(message)
+    }
+}
+
+/// A bad request value is a malformed invocation.
+impl From<RequestError> for CliError {
+    fn from(e: RequestError) -> Self {
+        CliError::usage(e.message)
     }
 }
 
@@ -139,24 +146,18 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  cogent generate <contraction> [--size N | --sizes i=N,j=M,...]
-                  [--device v100|p100] [--f32] [--accumulate]
-                  [--backend cuda|opencl|hip] [--passes none|default|LIST]
-                  [-o FILE]
-  cogent search   <contraction> [--size N | --sizes ...] [--device ...] [--top K]
+  cogent generate <contraction> [REQUEST] [--backend cuda|opencl|hip] [-o FILE]
+  cogent search   <contraction> [REQUEST] [--top K]
   cogent batch    [<contraction>...] [--suite] [--group ml|aomo|ccsd|ccsdt]
-                  [--size N | --sizes ...] [--device ...] [--f32] [--threads N] [-o DIR]
-  cogent bench    <contraction> [--size N | --sizes ...] [--device ...]
-  cogent explain  <contraction> [--size N | --sizes ...] [--device ...] [--f32]
-                  [--backend cuda|opencl|hip] [--passes none|default|LIST]
+                  [REQUEST] [--threads N] [-o DIR]
+  cogent bench    <contraction> [REQUEST]
+  cogent explain  <contraction> [REQUEST] [--backend cuda|opencl|hip]
                   [--json] [--chrome-trace FILE]
-  cogent profile  <contraction> [--size N | --sizes ...] [--device ...] [--f32]
-                  [--runs N] [--json] [--folded FILE]
+  cogent profile  <contraction> [REQUEST] [--runs N] [--json] [--folded FILE]
   cogent stats    [<contraction>...] [--suite] [--group ml|aomo|ccsd|ccsdt]
-                  [--size N | --sizes ...] [--device ...] [--f32] [--threads N]
+                  [REQUEST] [--threads N]
   cogent audit    [<contraction>...] [--suite [tccg]] [--group ml|aomo|ccsd|ccsdt]
-                  [--size N | --sizes ...] [--device ...] [--f32] [--top K]
-                  [--exhaustive] [--json]
+                  [REQUEST] [--top K] [--exhaustive] [--json]
   cogent suite    [--group ml|aomo|ccsd|ccsdt]
   cogent serve    [--addr HOST:PORT] [--workers N] [--queue-depth N]
                   [--max-conns N] [--deadline-ms N] [--max-deadline-ms N]
@@ -164,6 +165,10 @@ const USAGE: &str = "usage:
                   [--slow-threshold-ms N] [--flight-dir DIR]
                   [--access-log FILE|-]
   cogent flight   <dump.jsonl> [--top N]
+
+REQUEST is [--size N | --sizes i=N,j=M,...] [--device v100|p100] [--f32]
+[--accumulate] [--passes none|default|LIST], read the same way by every
+command (search ignores the store mode and passes, bench uses FP64)
 
 every command also accepts --trace-out FILE to write its pipeline trace
 as cogent.trace.v3 JSON (\"-\" prints the stderr tree instead)
@@ -227,92 +232,53 @@ fn split_trace_out(mut args: Vec<String>) -> Result<(Vec<String>, Option<String>
     }
 }
 
-/// Returns the value following `flag`, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-fn parse_contraction(args: &[String]) -> Result<Contraction, CliError> {
-    let spec = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
+/// The request of a one-contraction command: its first positional
+/// argument under the command's flags.
+fn request(args: &[String]) -> Result<Request, CliError> {
+    let spec = positional_specs(args)
+        .into_iter()
+        .next()
         .ok_or_else(|| CliError::usage("missing contraction argument"))?;
-    cogent::ir::parse::parse_allowing_batch(spec).map_err(|e| CliError::usage(format!("{e}")))
+    Ok(Request::from_args(spec, args)?)
 }
 
-/// Builds the size map from `--size N` (uniform) or `--sizes i=4,j=8,...`.
-fn parse_sizes(args: &[String], tc: &Contraction) -> Result<SizeMap, CliError> {
-    if let Some(list) = flag_value(args, "--sizes") {
-        let mut sizes = SizeMap::new();
-        for part in list.split(',') {
-            let (name, value) = part.split_once('=').ok_or_else(|| {
-                CliError::usage(format!("bad size entry {part:?} (want index=extent)"))
-            })?;
-            let extent: usize = value
-                .parse()
-                .map_err(|_| CliError::usage(format!("bad extent {value:?} for index {name}")))?;
-            if extent == 0 {
-                return Err(CliError::usage(format!(
-                    "extent for {name} must be positive"
-                )));
-            }
-            sizes.set(
-                cogent::ir::IndexName::try_new(name.trim())
-                    .ok_or_else(|| CliError::usage(format!("bad index name {name:?}")))?,
-                extent,
-            );
-        }
-        if !sizes.covers(tc) {
-            return Err(CliError::usage(
-                "--sizes does not cover every contraction index",
-            ));
-        }
-        Ok(sizes)
-    } else {
-        let n: usize = flag_value(args, "--size")
-            .unwrap_or("32")
-            .parse()
-            .map_err(|_| CliError::usage("bad --size value"))?;
-        if n == 0 {
-            return Err(CliError::usage("--size must be positive"));
-        }
-        Ok(SizeMap::uniform(tc, n))
-    }
-}
-
-fn parse_device(args: &[String]) -> Result<GpuDevice, CliError> {
-    match flag_value(args, "--device") {
-        None | Some("v100") => Ok(GpuDevice::v100()),
-        Some("p100") => Ok(GpuDevice::p100()),
-        Some(other) => Err(CliError::usage(format!(
-            "unknown device {other:?} (want v100 or p100)"
+/// The value of count flag `flag` (`--top`, `--runs`, `--workers`, ...),
+/// if given: a positive integer.
+fn positive(args: &[String], flag: &str) -> Result<Option<usize>, CliError> {
+    let Some(raw) = flag_value(args, flag) else {
+        return Ok(None);
+    };
+    match raw.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(CliError::usage(format!(
+            "bad {flag} value {raw:?} (want a positive integer)"
         ))),
     }
 }
 
-fn parse_precision(args: &[String]) -> Precision {
-    if has_flag(args, "--f32") {
-        Precision::F32
-    } else {
-        Precision::F64
-    }
+/// Runs `f` with tracing on, then restores the previous setting.
+fn traced<T>(f: impl FnOnce() -> T) -> T {
+    let was_enabled = cogent::obs::enabled();
+    cogent::obs::set_enabled(true);
+    let out = f();
+    cogent::obs::set_enabled(was_enabled);
+    out
 }
 
-/// Resolves the KIR pass pipeline from `--passes`. Pass names are
-/// validated at pipeline build time, inside generation, so a typo is a
-/// runtime error carrying the offending name.
-fn parse_passes(args: &[String]) -> PassConfig {
-    match flag_value(args, "--passes") {
-        Some(spec) => PassConfig::parse(spec),
-        None => PassConfig::None,
-    }
+/// The lines `generate`, `explain` and `profile` report for a kernel:
+/// what was generated, from which candidate, and its predicted speed.
+fn kernel_summary(request: &Request, kernel: &GeneratedKernel) -> String {
+    // The provenance line also names the applied passes.
+    format!(
+        "contraction:   {}\nconfiguration: {}\nprovenance:    {}\npredicted:     {:.1} GFLOPS at {} ({} candidates enumerated, {:.1}% pruned)\n",
+        request.contraction,
+        kernel.config,
+        kernel.provenance,
+        kernel.report.gflops,
+        request.sizes,
+        kernel.search.enumerated,
+        kernel.search.pruned_fraction() * 100.0
+    )
 }
 
 /// Resolves the code-generation backend from `--backend`, honoring the
@@ -331,35 +297,13 @@ fn parse_backend(args: &[String]) -> Result<Backend, CliError> {
 }
 
 fn cmd_generate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let tc = parse_contraction(args)?;
-    let sizes = parse_sizes(args, &tc)?;
-    let device = parse_device(args)?;
-    let precision = parse_precision(args);
+    let request = request(args)?;
     let backend = parse_backend(args)?;
-    let passes = parse_passes(args);
-    let mut generator = Cogent::new()
-        .device(device)
-        .precision(precision)
-        .passes(passes.clone());
-    if has_flag(args, "--accumulate") {
-        generator = generator.store_mode(StoreMode::Accumulate);
-    }
-    let generated = generator
-        .generate(&tc, &sizes)
+    let generated = request
+        .generator()
+        .generate(&request.contraction, &request.sizes)
         .map_err(|e| format!("{e}"))?;
-
-    eprintln!("contraction:   {tc}");
-    eprintln!("configuration: {}", generated.config);
-    eprintln!("provenance:    {}", generated.provenance);
-    if !generated.provenance.passes.is_empty() {
-        eprintln!("passes:        {}", generated.provenance.passes.join(", "));
-    }
-    eprintln!(
-        "predicted:     {:.1} GFLOPS at {sizes} ({} candidates enumerated, {:.1}% pruned)",
-        generated.report.gflops,
-        generated.search.enumerated,
-        generated.search.pruned_fraction() * 100.0
-    );
+    eprint!("{}", kernel_summary(&request, &generated));
     eprintln!("backend:       {backend}");
     let hip_source;
     let source = match backend {
@@ -368,8 +312,9 @@ fn cmd_generate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         Backend::Hip => {
             // HIP sources are not carried on GeneratedKernel, so the HIP
             // print re-runs the same lower-then-pass pipeline here.
+            let (precision, passes) = (request.precision, &request.passes);
             hip_source =
-                emit_backend_kernel_with_passes(&generated.plan, precision, Backend::Hip, &passes)
+                emit_backend_kernel_with_passes(&generated.plan, precision, Backend::Hip, passes)
                     .map_err(|e| format!("{e}"))?
                     .0;
             &hip_source
@@ -386,20 +331,19 @@ fn cmd_generate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_search(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let tc = parse_contraction(args)?;
-    let sizes = parse_sizes(args, &tc)?;
-    let device = parse_device(args)?;
-    let precision = parse_precision(args);
-    let top: usize = flag_value(args, "--top")
-        .unwrap_or("8")
-        .parse()
-        .map_err(|_| CliError::usage("bad --top value"))?;
-
+    let req = request(args)?;
+    let top = positive(args, "--top")?.unwrap_or(8);
     let options = SearchOptions {
         top_k: top,
         ..SearchOptions::default()
     };
-    let outcome = search(&tc, &sizes, &device, precision, &options);
+    let outcome = search(
+        &req.contraction,
+        &req.sizes,
+        &req.device,
+        req.precision,
+        &options,
+    );
     writeln!(
         out,
         "raw space {} | enumerated {} | survivors {} ({:.1}% pruned{})",
@@ -421,9 +365,9 @@ fn cmd_search(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     for (rank, r) in outcome.ranked.iter().enumerate() {
         let plan = r
             .config
-            .lower(&outcome.contraction, &sizes)
+            .lower(&outcome.contraction, &req.sizes)
             .map_err(|e| format!("{e}"))?;
-        let report = cogent::sim::simulate(&plan, &device, precision);
+        let report = cogent::sim::simulate(&plan, &req.device, req.precision);
         writeln!(
             out,
             "{:<4} {:>14} {:>10.1}  {}",
@@ -495,34 +439,63 @@ fn suite_entries(args: &[String]) -> Result<Vec<cogent::tccg::TccgEntry>, CliErr
     Ok(picked)
 }
 
-/// The `(label, contraction, sizes)` jobs of `batch`, `stats` and
-/// `audit`: the `--group`-filtered suite when `--suite` is given (at the
-/// entry's own sizes unless `--size`/`--sizes` override them), then each
-/// positional spec, labelled by `spec_label`.
+/// The labelled requests of `batch`, `stats` and `audit`: the
+/// `--group`-filtered suite when `--suite` is given (at the entry's own
+/// sizes unless `--size`/`--sizes` override them), then each positional
+/// spec, labelled by `spec_label`. Every request shares the flags.
 fn collect_jobs(
     args: &[String],
     spec_label: fn(&str) -> String,
-) -> Result<Vec<(String, Contraction, SizeMap)>, CliError> {
+) -> Result<Vec<(String, Request)>, CliError> {
     let explicit_sizes = has_flag(args, "--size") || has_flag(args, "--sizes");
     let mut jobs = Vec::new();
     if has_flag(args, "--suite") {
         for entry in suite_entries(args)? {
-            let tc = entry.contraction();
-            let sizes = if explicit_sizes {
-                parse_sizes(args, &tc)?
-            } else {
-                entry.sizes()
-            };
-            jobs.push((entry.name.to_string(), tc, sizes));
+            let mut request = Request::from_args(&entry.spec, args)?;
+            if !explicit_sizes {
+                request.sizes = entry.sizes();
+            }
+            jobs.push((entry.name.to_string(), request));
         }
     }
     for spec in positional_specs(args) {
-        let tc = cogent::ir::parse::parse_allowing_batch(spec)
-            .map_err(|e| CliError::usage(format!("{e}")))?;
-        let sizes = parse_sizes(args, &tc)?;
-        jobs.push((spec_label(spec), tc, sizes));
+        jobs.push((spec_label(spec), Request::from_args(spec, args)?));
     }
     Ok(jobs)
+}
+
+/// Each job's `(contraction, sizes)`, as `generate_many` takes them.
+type Pairs = Vec<(Contraction, SizeMap)>;
+
+/// A runtime failure when any of `total` generations failed.
+fn all_generated(failures: usize, total: usize) -> Result<(), CliError> {
+    match failures {
+        0 => Ok(()),
+        n => Err(format!("{n} of {total} generations failed").into()),
+    }
+}
+
+/// The generator `jobs` share (`None` for no jobs), searching on
+/// `--threads` threads, with that thread count and the jobs' [`Pairs`].
+fn job_generator(
+    args: &[String],
+    jobs: &[(String, Request)],
+) -> Result<Option<(Cogent, usize, Pairs)>, CliError> {
+    let Some((_, first)) = jobs.first() else {
+        return Ok(None);
+    };
+    let mut options = SearchOptions::default();
+    options.threads = positive(args, "--threads")?.unwrap_or(options.threads);
+    let threads = options.threads.max(1);
+    let pairs = jobs
+        .iter()
+        .map(|(_, r)| (r.contraction.clone(), r.sizes.clone()))
+        .collect();
+    Ok(Some((
+        first.generator().search_options(options),
+        threads,
+        pairs,
+    )))
 }
 
 /// Positional (non-flag) tokens, skipping every value that belongs to a
@@ -565,49 +538,31 @@ fn spec_file_stem(spec: &str) -> String {
 /// TCCG suite (`--suite`, optionally `--group`-filtered), or both —
 /// through one shared cache and one `generate_many` thread pool.
 fn cmd_batch(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let device = parse_device(args)?;
-    let precision = parse_precision(args);
     let jobs = collect_jobs(args, spec_file_stem)?;
-    if jobs.is_empty() {
+    let Some((generator, threads, pairs)) = job_generator(args, &jobs)? else {
         return Err(CliError::usage(
             "nothing to generate: pass contractions and/or --suite",
         ));
-    }
-
-    let mut options = cogent::generator::SearchOptions::default();
-    if let Some(threads) = flag_value(args, "--threads") {
-        options.threads = threads
-            .parse()
-            .map_err(|_| CliError::usage("bad --threads value"))?;
-    }
-    let threads = options.threads.max(1);
-    let generator = Cogent::new()
-        .device(device)
-        .precision(precision)
-        .search_options(options)
-        .with_default_cache();
+    };
+    let generator = generator.with_default_cache();
 
     let out_dir = flag_value(args, "-o");
     if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
     }
 
-    let pairs: Vec<(Contraction, SizeMap)> = jobs
-        .iter()
-        .map(|(_, tc, sizes)| (tc.clone(), sizes.clone()))
-        .collect();
     let started = Instant::now();
     let results = generator.generate_many(&pairs);
     let elapsed = started.elapsed();
 
     let mut failures = 0usize;
-    for ((label, _, sizes), result) in jobs.iter().zip(&results) {
+    for ((label, request), result) in jobs.iter().zip(&results) {
         match result {
             Ok(kernel) => {
                 writeln!(
                     out,
-                    "ok    {label:<24} {:>8.1} GFLOPS at {sizes}",
-                    kernel.report.gflops
+                    "ok    {label:<24} {:>8.1} GFLOPS at {}",
+                    kernel.report.gflops, request.sizes
                 )?;
                 if let Some(dir) = out_dir {
                     let path = format!("{dir}/{label}.cu");
@@ -635,26 +590,19 @@ fn cmd_batch(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             stats.capacity, stats.hits, stats.misses, stats.evictions, stats.entries
         );
     }
-    if failures > 0 {
-        return Err(CliError::runtime(format!(
-            "{failures} of {} generations failed",
-            results.len()
-        )));
-    }
-    Ok(())
+    all_generated(failures, results.len())
 }
 
 fn cmd_bench(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let tc = parse_contraction(args)?;
-    let sizes = parse_sizes(args, &tc)?;
-    let device = parse_device(args)?;
+    let r = request(args)?;
+    let (tc, sizes, device) = (&r.contraction, &r.sizes, &r.device);
     writeln!(out, "{tc} at {sizes} on {device} (FP64, simulated)")?;
-    let cogent = measure_cogent(&tc, &sizes, &device, Precision::F64);
+    let cogent = measure_cogent(tc, sizes, device, Precision::F64);
     writeln!(out, "  COGENT          {:>10.1} GFLOPS", cogent.gflops)?;
-    let nwchem = NwchemLikeGenerator::new().measure(&tc, &sizes, &device, Precision::F64);
+    let nwchem = NwchemLikeGenerator::new().measure(tc, sizes, device, Precision::F64);
     writeln!(out, "  NWChem-like     {:>10.1} GFLOPS", nwchem.gflops)?;
     if tc.batch_indices().is_empty() {
-        let talsh = TtgtEngine::new().measure(&tc, &sizes, &device, Precision::F64);
+        let talsh = TtgtEngine::new().measure(tc, sizes, device, Precision::F64);
         writeln!(out, "  TAL_SH (TTGT)   {:>10.1} GFLOPS", talsh.gflops)?;
     } else {
         writeln!(
@@ -676,66 +624,46 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// `--chrome-trace FILE` the span timeline is also written in the Chrome
 /// trace-event format (load it in `chrome://tracing` or Perfetto).
 fn explain_report(args: &[String]) -> Result<String, CliError> {
-    let tc = parse_contraction(args)?;
-    let sizes = parse_sizes(args, &tc)?;
-    let device = parse_device(args)?;
-    let precision = parse_precision(args);
+    let request = request(args)?;
     let backend = parse_backend(args)?;
 
-    let was_enabled = cogent::obs::enabled();
-    cogent::obs::set_enabled(true);
-    let generator = Cogent::new()
-        .device(device)
-        .precision(precision)
-        .passes(parse_passes(args))
-        .with_default_cache();
-    let result = generator.generate(&tc, &sizes);
-    cogent::obs::set_enabled(was_enabled);
-    let generated = result.map_err(|e| format!("{e}"))?;
+    let generator = request.generator().with_default_cache();
+    let generated = traced(|| generator.generate(&request.contraction, &request.sizes))
+        .map_err(|e| format!("{e}"))?;
     let trace = generated
         .trace
+        .as_ref()
         .ok_or("pipeline finished without producing a trace")?;
 
     if let Some(path) = flag_value(args, "--chrome-trace") {
-        let doc = cogent::obs::chrome::to_chrome_trace_string(&trace);
+        let doc = cogent::obs::chrome::to_chrome_trace_string(trace);
         std::fs::write(path, doc).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote Chrome trace to {path}");
     }
 
     if has_flag(args, "--json") {
-        Ok(trace.to_json_string())
-    } else {
-        let cache_line = match generator.kernel_cache() {
-            Some(cache) => {
-                let stats = cache.stats();
-                format!(
-                    "cache:         capacity {} ({}={}) | hits {} | misses {} | evictions {}\n",
-                    stats.capacity,
-                    cogent::generator::CACHE_CAP_ENV_VAR,
-                    stats.capacity,
-                    stats.hits,
-                    stats.misses,
-                    stats.evictions,
-                )
-            }
-            None => String::new(),
-        };
-        let passes_line = if generated.provenance.passes.is_empty() {
-            String::new()
-        } else {
-            format!(
-                "passes:        {}\n",
-                generated.provenance.passes.join(", ")
-            )
-        };
-        Ok(format!(
-            "contraction:   {tc}\nconfiguration: {}\nprovenance:    {}\n{passes_line}backend:       {backend}\npredicted:     {:.1} GFLOPS at {sizes}\n{cache_line}\n{}",
-            generated.config,
-            generated.provenance,
-            generated.report.gflops,
-            trace.render_text().trim_end()
-        ))
+        return Ok(trace.to_json_string());
     }
+    let cache_line = match generator.kernel_cache() {
+        Some(cache) => {
+            let stats = cache.stats();
+            format!(
+                "cache:         capacity {} ({}={}) | hits {} | misses {} | evictions {}\n",
+                stats.capacity,
+                cogent::generator::CACHE_CAP_ENV_VAR,
+                stats.capacity,
+                stats.hits,
+                stats.misses,
+                stats.evictions,
+            )
+        }
+        None => String::new(),
+    };
+    Ok(format!(
+        "{}backend:       {backend}\n{cache_line}\n{}",
+        kernel_summary(&request, &generated),
+        trace.render_text().trim_end()
+    ))
 }
 
 fn cmd_profile(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -750,53 +678,33 @@ fn cmd_profile(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// `--folded FILE` the per-call-path self times are also written as
 /// flamegraph-compatible folded stacks (`flamegraph.pl` / speedscope).
 fn profile_report(args: &[String]) -> Result<String, CliError> {
-    let tc = parse_contraction(args)?;
-    let sizes = parse_sizes(args, &tc)?;
-    let device = parse_device(args)?;
-    let precision = parse_precision(args);
-    let runs: u64 = flag_value(args, "--runs")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| CliError::usage("bad --runs value"))?;
-    if runs == 0 {
-        return Err(CliError::usage("--runs must be positive"));
-    }
-
+    let request = request(args)?;
+    let runs = positive(args, "--runs")?.unwrap_or(1);
     // Deliberately cache-less: every run exercises the cold path the
     // profile is meant to explain.
-    let generator = Cogent::new().device(device.clone()).precision(precision);
-    let was_enabled = cogent::obs::enabled();
-    cogent::obs::set_enabled(true);
-    let mut profile: Option<cogent::obs::profile::PhaseProfile> = None;
+    let generator = request.generator();
     let mut folded = std::collections::BTreeMap::new();
-    let mut failure = None;
-    for _ in 0..runs {
-        match generator.generate(&tc, &sizes) {
-            Ok(kernel) => {
-                let Some(trace) = kernel.trace else {
-                    failure = Some(CliError::runtime(
-                        "pipeline finished without producing a trace",
-                    ));
-                    break;
-                };
-                cogent::obs::profile::fold_stacks_into(&trace, &mut folded);
-                let run_profile = cogent::obs::profile::PhaseProfile::from_trace(&trace);
-                match profile.as_mut() {
-                    Some(acc) => acc.merge(&run_profile),
-                    None => profile = Some(run_profile),
-                }
-            }
-            Err(e) => {
-                failure = Some(CliError::runtime(format!("{e}")));
-                break;
+    let (summary, profile) = traced(|| -> Result<_, CliError> {
+        let mut profile: Option<cogent::obs::profile::PhaseProfile> = None;
+        let mut summary = String::new();
+        for _ in 0..runs {
+            let kernel = generator
+                .generate(&request.contraction, &request.sizes)
+                .map_err(|e| format!("{e}"))?;
+            summary = kernel_summary(&request, &kernel);
+            let trace = kernel
+                .trace
+                .ok_or("pipeline finished without producing a trace")?;
+            cogent::obs::profile::fold_stacks_into(&trace, &mut folded);
+            let run_profile = cogent::obs::profile::PhaseProfile::from_trace(&trace);
+            match profile.as_mut() {
+                Some(acc) => acc.merge(&run_profile),
+                None => profile = Some(run_profile),
             }
         }
-    }
-    cogent::obs::set_enabled(was_enabled);
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    let profile = profile.expect("runs >= 1 and no failure: profile accumulated");
+        Ok((summary, profile))
+    })?;
+    let profile = profile.expect("runs >= 1: profile accumulated");
 
     if let Some(path) = flag_value(args, "--folded") {
         let doc = cogent::obs::profile::render_folded(&folded);
@@ -808,7 +716,9 @@ fn profile_report(args: &[String]) -> Result<String, CliError> {
         Ok(format!("{}\n", profile.to_json()))
     } else {
         Ok(format!(
-            "contraction: {tc} at {sizes} ({runs} cold run(s), {precision:?} on {device})\n{}",
+            "{summary}{runs} cold run(s), {:?} on {}\n{}",
+            request.precision,
+            request.device,
             profile.render_table()
         ))
     }
@@ -819,39 +729,18 @@ fn profile_report(args: &[String]) -> Result<String, CliError> {
 /// of the process-global metrics registry — every counter, histogram
 /// quantile and gauge recorded by any worker thread.
 fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let device = parse_device(args)?;
-    let precision = parse_precision(args);
     let jobs = collect_jobs(args, str::to_string)?;
-    if jobs.is_empty() {
+    let Some((generator, _, pairs)) = job_generator(args, &jobs)? else {
         return Err(CliError::usage(
             "nothing to measure: pass contractions and/or --suite",
         ));
-    }
-
-    let mut options = cogent::generator::SearchOptions::default();
-    if let Some(threads) = flag_value(args, "--threads") {
-        options.threads = threads
-            .parse()
-            .map_err(|_| CliError::usage("bad --threads value"))?;
-    }
-    let generator = Cogent::new()
-        .device(device)
-        .precision(precision)
-        .search_options(options);
-
-    let pairs: Vec<(Contraction, SizeMap)> = jobs
-        .iter()
-        .map(|(_, tc, sizes)| (tc.clone(), sizes.clone()))
-        .collect();
+    };
     // Fresh window: only this slate's activity shows in the exposition.
     cogent::obs::reset_metrics();
-    let was_enabled = cogent::obs::enabled();
-    cogent::obs::set_enabled(true);
-    let results = generator.generate_many(&pairs);
-    cogent::obs::set_enabled(was_enabled);
+    let results = traced(|| generator.generate_many(&pairs));
 
     let mut failures = 0usize;
-    for ((label, _, _), result) in jobs.iter().zip(&results) {
+    for ((label, _), result) in jobs.iter().zip(&results) {
         if let Err(e) = result {
             failures += 1;
             eprintln!("fail  {label:<24} {e}");
@@ -862,13 +751,7 @@ fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "{}",
         cogent::obs::render_prometheus(&cogent::obs::metrics_snapshot())
     )?;
-    if failures > 0 {
-        return Err(CliError::runtime(format!(
-            "{failures} of {} generations failed",
-            results.len()
-        )));
-    }
-    Ok(())
+    all_generated(failures, results.len())
 }
 
 /// Audits the cost model against the `gpu-sim` transaction tracer: for
@@ -876,15 +759,7 @@ fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// summarized as relative-error percentiles, Spearman rank correlation,
 /// and the regret of the model's pick (see `cogent::generator::audit`).
 fn cmd_audit(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let device = parse_device(args)?;
-    let precision = parse_precision(args);
-    let top: usize = flag_value(args, "--top")
-        .unwrap_or("8")
-        .parse()
-        .map_err(|_| CliError::usage("bad --top value"))?;
-    if top == 0 {
-        return Err(CliError::usage("--top must be positive"));
-    }
+    let top = positive(args, "--top")?.unwrap_or(8);
 
     // `--suite` optionally names the suite; only "tccg" exists. The name
     // is removed before positional parsing so it isn't taken for a spec.
@@ -918,10 +793,16 @@ fn cmd_audit(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         options.trace = cogent::sim::TraceOptions::exhaustive();
     }
     let mut audits = Vec::new();
-    for (name, tc, sizes) in &jobs {
-        let audit =
-            cogent::generator::audit_contraction(name, tc, sizes, &device, precision, &options)
-                .map_err(|e| format!("auditing {name}: {e}"))?;
+    for (name, r) in &jobs {
+        let audit = cogent::generator::audit_contraction(
+            name,
+            &r.contraction,
+            &r.sizes,
+            &r.device,
+            r.precision,
+            &options,
+        )
+        .map_err(|e| format!("auditing {name}: {e}"))?;
         audits.push(audit);
     }
     let report = cogent::generator::AuditReport::from_contractions(top, audits);
@@ -940,34 +821,19 @@ fn parse_serve_config(args: &[String]) -> Result<cogent::generator::ServeConfig,
     config.addr = flag_value(args, "--addr")
         .unwrap_or("127.0.0.1:7437")
         .to_string();
-    let positive = |flag: &str| -> Result<Option<usize>, CliError> {
-        match flag_value(args, flag) {
-            None => Ok(None),
-            Some(raw) => raw
-                .parse::<usize>()
-                .ok()
-                .filter(|n| *n > 0)
-                .map(Some)
-                .ok_or_else(|| {
-                    CliError::usage(format!(
-                        "bad {flag} value {raw:?} (want a positive integer)"
-                    ))
-                }),
-        }
-    };
-    if let Some(n) = positive("--workers")? {
+    if let Some(n) = positive(args, "--workers")? {
         config.workers = n;
     }
-    if let Some(n) = positive("--queue-depth")? {
+    if let Some(n) = positive(args, "--queue-depth")? {
         config.queue_depth = n;
     }
-    if let Some(n) = positive("--max-conns")? {
+    if let Some(n) = positive(args, "--max-conns")? {
         config.max_conns = n;
     }
-    if let Some(ms) = positive("--deadline-ms")? {
+    if let Some(ms) = positive(args, "--deadline-ms")? {
         config.default_deadline = std::time::Duration::from_millis(ms as u64);
     }
-    if let Some(ms) = positive("--max-deadline-ms")? {
+    if let Some(ms) = positive(args, "--max-deadline-ms")? {
         config.max_deadline = std::time::Duration::from_millis(ms as u64);
     }
     if let Some(dir) = flag_value(args, "--cache-dir") {
@@ -976,7 +842,7 @@ fn parse_serve_config(args: &[String]) -> Result<cogent::generator::ServeConfig,
     if has_flag(args, "--allow-fault-injection") {
         config.allow_fault_injection = true;
     }
-    if let Some(ms) = positive("--slow-threshold-ms")? {
+    if let Some(ms) = positive(args, "--slow-threshold-ms")? {
         config.slow_threshold = std::time::Duration::from_millis(ms as u64);
     }
     if let Some(dir) = flag_value(args, "--flight-dir") {
@@ -1003,18 +869,11 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 fn cmd_flight(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     use cogent::obs::flight::{parse_lines, RequestSummary};
     use cogent::obs::profile::PhaseProfile;
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
+    let path = positional_specs(args)
+        .into_iter()
+        .next()
         .ok_or_else(|| CliError::usage("missing flight dump argument"))?;
-    let top: usize = match flag_value(args, "--top") {
-        None => 10,
-        Some(raw) => raw
-            .parse()
-            .ok()
-            .filter(|n| *n > 0)
-            .ok_or_else(|| CliError::usage(format!("bad --top value {raw:?}")))?,
-    };
+    let top = positive(args, "--top")?.unwrap_or(10);
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
     let traces = parse_lines(&text).map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
@@ -1105,28 +964,28 @@ mod tests {
 
     #[test]
     fn sizes_uniform_and_explicit() {
-        let tc: Contraction = "ij-ik-kj".parse().unwrap();
-        let u = parse_sizes(&s(&["--size", "64"]), &tc).unwrap();
-        assert_eq!(u.extent("i"), Some(64));
-        let e = parse_sizes(&s(&["--sizes", "i=4,j=8,k=16"]), &tc).unwrap();
+        let sizes = |flags: &[&str]| request(&s(&[&["ij-ik-kj"], flags].concat())).map(|r| r.sizes);
+        assert_eq!(sizes(&["--size", "64"]).unwrap().extent("i"), Some(64));
+        let e = sizes(&["--sizes", "i=4,j=8,k=16"]).unwrap();
         assert_eq!(e.extent("k"), Some(16));
-        assert!(parse_sizes(&s(&["--size", "0"]), &tc).is_err());
-        assert!(parse_sizes(&s(&["--sizes", "i=4,j=8"]), &tc).is_err());
-        assert!(parse_sizes(&s(&["--sizes", "i=4,j=8,k=x"]), &tc).is_err());
-        assert!(parse_sizes(&s(&["--sizes", "i=0,j=8,k=4"]), &tc).is_err());
+        assert!(sizes(&["--size", "0"]).is_err());
+        assert!(sizes(&["--sizes", "i=4,j=8"]).is_err());
+        assert!(sizes(&["--sizes", "i=4,j=8,k=x"]).is_err());
+        assert!(sizes(&["--sizes", "i=0,j=8,k=4"]).is_err());
     }
 
     #[test]
     fn contraction_argument_skips_flags() {
-        let args = s(&["--size", "8", "ij-ik-kj"]);
-        // "8" is a value, not a flag — the parser finds the first
-        // non-dash token; size values that parse as contractions would be
-        // ambiguous, so commands put the contraction first by convention.
-        // Here "8" fails to parse as a contraction, which is acceptable
-        // behavior to document:
-        assert!(parse_contraction(&args).is_err() || parse_contraction(&args).is_ok());
-        let args = s(&["ij-ik-kj", "--size", "8"]);
-        assert!(parse_contraction(&args).is_ok());
+        // The contraction is the first positional argument, wherever the
+        // flags and their values sit.
+        for args in [["--size", "8", "ij-ik-kj"], ["ij-ik-kj", "--size", "8"]] {
+            assert_eq!(request(&s(&args)).unwrap().spec, "ij-ik-kj");
+        }
+        let e = request(&s(&["--size", "8"])).unwrap_err();
+        assert_eq!(
+            (e.exit, e.message.as_str()),
+            (2, "missing contraction argument")
+        );
     }
 
     #[test]
@@ -1154,63 +1013,17 @@ mod tests {
 
     #[test]
     fn device_parsing() {
-        assert_eq!(parse_device(&s(&[])).unwrap().sm_count, 80);
-        assert_eq!(
-            parse_device(&s(&["--device", "p100"])).unwrap().sm_count,
-            56
-        );
-        assert!(parse_device(&s(&["--device", "h100"])).is_err());
+        let device =
+            |flags: &[&str]| request(&s(&[&["ij-ik-kj"], flags].concat())).map(|r| r.device);
+        assert_eq!(device(&[]).unwrap().sm_count, 80);
+        assert_eq!(device(&["--device", "p100"]).unwrap().sm_count, 56);
+        assert!(device(&["--device", "h100"]).is_err());
     }
 
     #[test]
     fn run_rejects_unknown_command() {
         assert!(run(&s(&["frobnicate"]), &mut Vec::new()).is_err());
         assert!(run(&s(&[]), &mut Vec::new()).is_err());
-    }
-
-    /// Malformed invocations classify as usage errors (exit 2) with the
-    /// exact one-line diagnostic; runtime failures stay exit 1.
-    #[test]
-    fn errors_classify_by_exit_code() {
-        // "j=" splits into ("j", "") — an empty, unparsable extent.
-        let e = run(
-            &s(&["generate", "ij-ik-kj", "--sizes", "i=4,j="]),
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert_eq!(e.exit, 2);
-        assert_eq!(e.message, "bad extent \"\" for index j");
-
-        // "j" has no '=' at all — a malformed entry.
-        let e = run(
-            &s(&["generate", "ij-ik-kj", "--sizes", "i=4,j"]),
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert_eq!(e.exit, 2);
-        assert_eq!(e.message, "bad size entry \"j\" (want index=extent)");
-
-        let e = run(
-            &s(&["generate", "ij-ik-kj", "--sizes", "i=4,j=x,k=4"]),
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert_eq!(e.exit, 2);
-        assert_eq!(e.message, "bad extent \"x\" for index j");
-
-        let e = run(
-            &s(&["generate", "ij-ik-kj", "--device", "h100"]),
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert_eq!(e.exit, 2);
-        assert_eq!(e.message, "unknown device \"h100\" (want v100 or p100)");
-
-        // Runtime failures (here: unknown command) keep exit 1.
-        assert_eq!(
-            run(&s(&["frobnicate"]), &mut Vec::new()).unwrap_err().exit,
-            1
-        );
     }
 
     #[test]
@@ -1305,7 +1118,7 @@ mod tests {
         let columns = "req-a 200 generate 0.00 0.00 0.00 miss serve.job (0.0ms)";
         assert!(row.split_whitespace().eq(columns.split(' ')), "{row}");
         assert!(table.contains("merged phase attribution (2 requests)"));
-        assert!(cmd_flight(&s(&[&path_s, "--top", "1"]), &mut Vec::new()).is_ok());
+        assert!(cmd_flight(&s(&["--top", "1", &path_s]), &mut Vec::new()).is_ok());
         let e = cmd_flight(&s(&[&path_s, "--top", "0"]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2);
 
