@@ -362,9 +362,12 @@ impl Cogent {
             )
         });
         if let Some((cache, key)) = &key {
-            if let Some(mut hit) = cache.get(key) {
-                // Cached kernels carry no trace; attach this lookup's own
-                // (it records the cache.hit counter above).
+            if let Some(hit) = cache.get(key) {
+                // The caller owns its kernel, so the hit is copied out of
+                // the shared entry here. Cached kernels carry no trace;
+                // attach this lookup's own (it records the cache.hit
+                // counter above).
+                let mut hit = GeneratedKernel::clone(&hit);
                 hit.trace = finish();
                 return Ok(hit);
             }

@@ -10,7 +10,9 @@
 //! stores the full [`GeneratedKernel`] (including its
 //! [`SearchOutcome`](crate::select::SearchOutcome) summary) behind a key
 //! that captures everything `Cogent::generate` consults; a warm hit is a
-//! hash lookup instead of a search.
+//! hash lookup instead of a search. Entries are stored as
+//! `Arc<GeneratedKernel>`, so a hit shares the cached kernel instead of
+//! copying it; callers that need an owned kernel clone it themselves.
 //!
 //! The map is split into shards, each behind its own mutex, so a batched
 //! generation sweep with `COGENT_THREADS` workers does not serialize on
@@ -28,7 +30,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use cogent_gpu_model::{GpuDevice, Precision};
 use cogent_ir::{Contraction, SizeMap};
@@ -178,7 +180,7 @@ impl CacheKey {
 }
 
 struct Entry {
-    kernel: GeneratedKernel,
+    kernel: Arc<GeneratedKernel>,
     last_used: u64,
 }
 
@@ -283,10 +285,10 @@ impl KernelCache {
         shard.lock().unwrap_or_else(|poison| poison.into_inner())
     }
 
-    /// Looks up a kernel, refreshing its LRU position. Returns a clone;
-    /// cached kernels are immutable. Counts a hit or miss (except when the
-    /// cache is disabled, which counts nothing).
-    pub fn get(&self, key: &CacheKey) -> Option<GeneratedKernel> {
+    /// Looks up a kernel, refreshing its LRU position. Returns the shared
+    /// entry; cached kernels are immutable. Counts a hit or miss (except
+    /// when the cache is disabled, which counts nothing).
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<GeneratedKernel>> {
         if !self.enabled() {
             return None;
         }
@@ -296,7 +298,7 @@ impl KernelCache {
         match shard.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = tick;
-                let kernel = entry.kernel.clone();
+                let kernel = Arc::clone(&entry.kernel);
                 drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 cogent_obs::counter("cache.hit", 1);
@@ -343,7 +345,7 @@ impl KernelCache {
         shard.map.insert(
             key,
             Entry {
-                kernel,
+                kernel: Arc::new(kernel),
                 last_used: tick,
             },
         );
@@ -400,7 +402,7 @@ impl KernelCache {
         shard
             .map
             .iter()
-            .map(|(k, e)| (k.clone(), e.kernel.clone(), e.last_used))
+            .map(|(k, e)| (k.clone(), GeneratedKernel::clone(&e.kernel), e.last_used))
             .collect()
     }
 
@@ -444,6 +446,30 @@ mod tests {
         assert_eq!(hit.config, kernel.config);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn hits_share_one_entry_and_snapshots_own_copies() {
+        let (tc, sizes, kernel) = kernel_for("ij-ik-kj", 32);
+        let cache = KernelCache::with_shards(4, 1);
+        let key = key_for(&tc, &sizes, "opts");
+        cache.insert(key.clone(), kernel.clone());
+        let (first, second) = (cache.get(&key).unwrap(), cache.get(&key).unwrap());
+        assert!(Arc::ptr_eq(&first, &second), "a hit copies nothing");
+        let snap = cache.snapshot_shard(0);
+        let [(snap_key, owned, _)] = &snap[..] else {
+            panic!("one entry, got {}", snap.len());
+        };
+        assert_eq!(*snap_key, key);
+        assert_eq!(owned.cuda_source, kernel.cuda_source);
+        assert_eq!(owned.opencl_source, kernel.opencl_source);
+        assert_eq!(owned.config, kernel.config);
+        assert_eq!(owned.search, kernel.search);
+        assert_eq!(owned.provenance, kernel.provenance);
+        assert_eq!(
+            owned.report.gflops.to_bits(),
+            kernel.report.gflops.to_bits()
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::select::SearchOptions;
 use crate::GeneratedKernel;
 
 use super::fault::ServeFault;
-use super::http::Response;
+use super::http::{error_json, Response};
 use super::SharedState;
 
 /// Schema id of the kernel document `/v1/generate`, `/v1/explain` and
@@ -159,25 +159,54 @@ fn parse_deadline(json: &Json, state: &SharedState) -> Result<Instant, Response>
 /// the whole request.
 pub fn execute(kind: &JobKind, deadline: Instant, state: &SharedState) -> Response {
     match kind {
-        JobKind::Generate(served) => generate_response(served, deadline, state, true),
-        JobKind::Explain(served) => generate_response(served, deadline, state, false),
+        JobKind::Generate(served) => generate(served, deadline, state, true).into_response(),
+        JobKind::Explain(served) => generate(served, deadline, state, false).into_response(),
         JobKind::Batch(batch) => {
+            // Each result nests the document `/v1/generate` answers for
+            // its job, rendered once with the whole batch.
             let results: Vec<Json> = batch
                 .iter()
                 .map(|served| {
-                    let response = generate_response(served, deadline, state, true);
-                    match Json::parse(&response.body) {
-                        Ok(json) => Json::obj([
-                            ("status", Json::UInt(u128::from(response.status))),
-                            ("result", json),
-                        ]),
-                        Err(_) => Json::obj([("status", Json::UInt(500))]),
-                    }
+                    let answer = generate(served, deadline, state, true);
+                    Json::obj([
+                        ("status", Json::UInt(u128::from(answer.status))),
+                        ("result", answer.json),
+                    ])
                 })
                 .collect();
             Response::json(200, "OK", &Json::obj([("results", Json::Array(results))]))
         }
         JobKind::Audit(served, top_k) => audit_response(served, *top_k, deadline),
+    }
+}
+
+/// One generation's answer before it is rendered: the status line and
+/// the JSON document (the kernel, or the typed error envelope).
+struct Answer {
+    status: u16,
+    reason: &'static str,
+    json: Json,
+}
+
+impl Answer {
+    fn ok(json: Json) -> Self {
+        Self {
+            status: 200,
+            reason: "OK",
+            json,
+        }
+    }
+
+    fn error(status: u16, reason: &'static str, code: &str, detail: &str) -> Self {
+        Self {
+            status,
+            reason,
+            json: error_json(code, detail),
+        }
+    }
+
+    fn into_response(self) -> Response {
+        Response::json(self.status, self.reason, &self.json)
     }
 }
 
@@ -193,15 +222,16 @@ fn count_provenance(provenance: &Provenance) {
     cogent_obs::counter(&name, 1);
 }
 
-/// Generation with explicit cache handling. A cold kernel is rendered
-/// before it moves into the cache, and its search is recorded in the
-/// worker's capture only, so neither is copied.
-fn generate_response(
+/// Generation with explicit cache handling. A hit renders straight from
+/// the cache's shared entry. A cold kernel is rendered before it moves
+/// into the cache, and its search is recorded in the worker's capture
+/// only, so neither is copied.
+fn generate(
     Served { request, fault }: &Served,
     deadline: Instant,
     state: &SharedState,
     with_sources: bool,
-) -> Response {
+) -> Answer {
     if let Some(fault) = fault {
         fault.apply();
     }
@@ -217,10 +247,10 @@ fn generate_response(
     );
     if let Some(hit) = state.cache.get(&key) {
         count_provenance(&hit.provenance);
-        return Response::json(200, "OK", &kernel_json(&hit, "hit", with_sources));
+        return Answer::ok(kernel_json(&hit, "hit", with_sources));
     }
     let Some(budget) = deadline.checked_duration_since(Instant::now()) else {
-        return deadline_response();
+        return deadline_answer();
     };
     let options = SearchOptions {
         time_budget: Some(budget),
@@ -240,7 +270,7 @@ fn generate_response(
                 cogent_obs::counter("serve.truncated", 1);
             }
             count_provenance(&kernel.provenance);
-            let response = Response::json(200, "OK", &kernel_json(&kernel, "miss", with_sources));
+            let answer = Answer::ok(kernel_json(&kernel, "miss", with_sources));
             // Only cache (and persist) complete searches: a
             // deadline-truncated search is not the canonical kernel for
             // this key, and caching it would break warm-path
@@ -253,18 +283,18 @@ fn generate_response(
                     }
                 }
             }
-            response
+            answer
         }
-        Err(CogentError::BudgetExhausted { .. }) => deadline_response(),
+        Err(CogentError::BudgetExhausted { .. }) => deadline_answer(),
         Err(err @ (CogentError::NoConfiguration | CogentError::NoViablePlan { .. })) => {
-            Response::error(
+            Answer::error(
                 422,
                 "Unprocessable Entity",
                 "no_viable_plan",
                 &err.to_string(),
             )
         }
-        Err(err) => Response::error(
+        Err(err) => Answer::error(
             500,
             "Internal Server Error",
             "generation_failed",
@@ -275,7 +305,11 @@ fn generate_response(
 
 /// The 504 every deadline path produces.
 pub fn deadline_response() -> Response {
-    Response::error(
+    deadline_answer().into_response()
+}
+
+fn deadline_answer() -> Answer {
+    Answer::error(
         504,
         "Gateway Timeout",
         "deadline_exceeded",
@@ -541,6 +575,54 @@ mod tests {
             warm.body.replace("\"cache\":\"hit\"", "\"cache\":\"miss\""),
             cold.body
         );
+    }
+
+    #[test]
+    fn batch_results_are_the_generate_documents() {
+        let state = test_state(false);
+        let specs = [
+            r#"{"contraction":"ij-ik-kj","uniform":16}"#,
+            r#"{"contraction":"abc-bda-dc","uniform":6}"#,
+        ];
+        let (warm, deadline) = parse("/v1/generate", specs[0], &state).unwrap();
+        assert_eq!(execute(&warm, deadline, &state).status, 200);
+        // Past the deadline the first job is a hit and the second, which
+        // would need a search, is a 504: one result of each kind.
+        let expired = Instant::now() - Duration::from_millis(1);
+        let body = format!(r#"{{"jobs":[{},{}]}}"#, specs[0], specs[1]);
+        let (batch, _) = parse("/v1/batch", &body, &state).unwrap();
+        let JobKind::Batch(jobs) = &batch else {
+            panic!("wrong kind");
+        };
+        let batch = execute(&batch, expired, &state);
+        assert_eq!(batch.status, 200);
+        let singles: Vec<Response> = jobs
+            .iter()
+            .map(|served| execute(&JobKind::Generate(served.clone()), expired, &state))
+            .collect();
+        assert_eq!(
+            singles.iter().map(|r| r.status).collect::<Vec<_>>(),
+            [200, 504]
+        );
+        // The form the batch body had when each result was rendered,
+        // parsed back and nested.
+        let reparsed = singles.iter().map(|single| {
+            Json::obj([
+                ("status", Json::UInt(u128::from(single.status))),
+                ("result", Json::parse(&single.body).unwrap()),
+            ])
+        });
+        let old_form = Json::obj([("results", Json::Array(reparsed.collect()))]);
+        assert_eq!(batch.body, Response::json(200, "OK", &old_form).body);
+        // Each result, written alone, is the `/v1/generate` body.
+        let json = Json::parse(&batch.body).unwrap();
+        let results = json.get("results").and_then(Json::as_array).unwrap();
+        for (result, single) in results.iter().zip(&singles) {
+            let mut text = String::new();
+            result.get("result").unwrap().write(&mut text);
+            text.push('\n');
+            assert_eq!(text, single.body);
+        }
     }
 
     #[test]

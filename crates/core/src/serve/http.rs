@@ -237,6 +237,17 @@ fn parse_head(head: &str) -> Result<Request, HttpError> {
     })
 }
 
+/// The body of [`Response::error`], also nested as a `/v1/batch` result.
+pub(crate) fn error_json(code: &str, detail: &str) -> Json {
+    Json::obj([(
+        "error",
+        Json::obj([
+            ("code", Json::Str(code.to_string())),
+            ("detail", Json::Str(detail.to_string())),
+        ]),
+    )])
+}
+
 /// One response, always `Connection: close`.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -281,17 +292,7 @@ impl Response {
     /// The typed error envelope every non-2xx JSON response uses:
     /// `{"error":{"code":...,"detail":...}}`.
     pub fn error(status: u16, reason: &'static str, code: &str, detail: &str) -> Self {
-        Self::json(
-            status,
-            reason,
-            &Json::obj([(
-                "error",
-                Json::obj([
-                    ("code", Json::Str(code.to_string())),
-                    ("detail", Json::Str(detail.to_string())),
-                ]),
-            )]),
-        )
+        Self::json(status, reason, &error_json(code, detail))
     }
 
     /// Adds a header.

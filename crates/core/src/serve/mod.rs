@@ -24,8 +24,10 @@
 //!   its sources hash to the recorded values (corrupt shards quarantined,
 //!   never fatal), so a killed server restarts with byte-identical warm
 //!   responses.
-//! - **Graceful drain.** Shutdown stops accepting, lets queued jobs
-//!   finish inside a drain budget, then persists the cache. The abrupt
+//! - **Graceful drain.** Shutdown stops accepting — the accept thread
+//!   blocks in `accept()` and is woken by one connection to the server's
+//!   own address — lets queued jobs finish inside a drain budget, then
+//!   persists the cache. The abrupt
 //!   [`Server::kill`] path skips the final persist to emulate a crash
 //!   for the chaos suite.
 
@@ -35,7 +37,7 @@ pub mod http;
 pub mod queue;
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -359,6 +361,10 @@ impl From<PersistError> for ServeError {
     }
 }
 
+/// How long [`Server::shutdown`] and [`Server::kill`] try to connect to
+/// the server's own address to wake the accept thread.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// A running server. Keep the handle alive; dropping it leaks the
 /// threads until process exit (use [`Server::shutdown`] or
 /// [`Server::kill`]).
@@ -440,10 +446,6 @@ impl Server {
             source,
         })?;
         let addr = listener.local_addr().map_err(ServeError::Spawn)?;
-        // Non-blocking accept so the loop can observe the stop flag:
-        // glibc installs SA_RESTART semantics, so a blocking accept would
-        // never return on a handled signal.
-        listener.set_nonblocking(true).map_err(ServeError::Spawn)?;
 
         let worker_count = config.workers.max(1);
         let queue = Arc::new(JobQueue::new(config.queue_depth));
@@ -507,8 +509,10 @@ impl Server {
     /// let queued jobs finish within the drain budget, join the threads,
     /// and persist the final cache state.
     pub fn shutdown(mut self) {
+        // The counters below reach the registry through this capture.
+        let capture = Capture::start("serve.shutdown");
         self.state.draining.store(true, Ordering::SeqCst);
-        self.stop_accepting.store(true, Ordering::SeqCst);
+        self.stop_accept_loop();
         self.queue.close();
         let drain_by = Instant::now() + self.drain_timeout;
         while !self.queue.is_empty() && Instant::now() < drain_by {
@@ -528,6 +532,7 @@ impl Server {
                 cogent_obs::counter("serve.persist.error", 1);
             }
         }
+        let _ = capture.finish();
     }
 
     /// Abrupt stop that emulates a crash for the chaos suite: queued
@@ -535,11 +540,26 @@ impl Server {
     /// *skipped* — the on-disk state must already be recoverable from
     /// the incremental checkpoints alone.
     pub fn kill(mut self) {
+        let capture = Capture::start("serve.kill");
         self.state.draining.store(true, Ordering::SeqCst);
-        self.stop_accepting.store(true, Ordering::SeqCst);
+        self.stop_accept_loop();
         self.queue.close();
         self.queue.clear();
         self.join_threads();
+        let _ = capture.finish();
+    }
+
+    /// Raises the stop flag, then wakes the accept thread, blocked in
+    /// `accept()`, with one connection to the server's own address; the
+    /// accept loop drops that connection unanswered and exits. When the
+    /// wake cannot connect, the accept thread is left detached rather
+    /// than joined, so shutdown never hangs on it.
+    fn stop_accept_loop(&mut self) {
+        self.stop_accepting.store(true, Ordering::SeqCst);
+        if TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT).is_err() {
+            cogent_obs::counter("serve.accept.wake_failed", 1);
+            self.accept_thread = None;
+        }
     }
 
     fn join_threads(&mut self) {
@@ -552,8 +572,22 @@ impl Server {
     }
 }
 
-/// Polls for connections until the stop flag rises. Each connection gets
-/// its own short-lived thread, bounded by `max_conns`.
+/// The address a wake connection dials: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `[::]`) replaced by loopback of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Blocks in `accept()` until the stop flag rises; the shutdown path
+/// wakes it with a connection of its own, which is dropped here without
+/// being counted or recorded. Each connection gets its own short-lived
+/// thread, bounded by `max_conns`, and its request clock starts when
+/// `accept()` returns.
 fn accept_loop(
     listener: &TcpListener,
     stop: &AtomicBool,
@@ -564,9 +598,14 @@ fn accept_loop(
     worker_count: usize,
 ) {
     let conns = Arc::new(AtomicUsize::new(0));
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let next = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match next {
             Ok((mut stream, _peer)) => {
+                let accepted = Instant::now();
                 let active = conns.fetch_add(1, Ordering::SeqCst) + 1;
                 if active > max_conns {
                     conns.fetch_sub(1, Ordering::SeqCst);
@@ -587,36 +626,45 @@ fn accept_loop(
                 let spawned = std::thread::Builder::new()
                     .name("cogent-conn".to_string())
                     .spawn(move || {
-                        // Accepted sockets may inherit the listener's
-                        // non-blocking mode on some platforms; the read
-                        // path relies on timeouts instead.
-                        let _ = stream.set_nonblocking(false);
-                        handle_connection(&mut stream, &state, &queue, &limits, worker_count);
+                        handle_connection(
+                            &mut stream,
+                            accepted,
+                            &state,
+                            &queue,
+                            &limits,
+                            worker_count,
+                        );
                         conn_count.fetch_sub(1, Ordering::SeqCst);
                     });
                 if spawned.is_err() {
                     conns.fetch_sub(1, Ordering::SeqCst);
                 }
             }
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // The peer gave up before accept, or a signal interrupted it.
+            Err(err)
+                if matches!(
+                    err.kind(),
+                    std::io::ErrorKind::ConnectionAborted | std::io::ErrorKind::Interrupted
+                ) => {}
+            // Out of descriptors or buffers (`EMFILE`, `ENOBUFS`, ...):
+            // back off briefly instead of spinning on the error.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
 
-/// Reads one request, routes it, sends one response, closes. Metrics are
-/// recorded under a per-connection capture so they reach the process
+/// Reads one request, routes it, sends one response, closes. `accepted`
+/// is when `accept()` returned, offset 0 of the request's record. Metrics
+/// are recorded under a per-connection capture so they reach the process
 /// registry.
 fn handle_connection(
     stream: &mut TcpStream,
+    accepted: Instant,
     state: &Arc<SharedState>,
     queue: &Arc<JobQueue<Job>>,
     limits: &ReadLimits,
     worker_count: usize,
 ) {
-    let accepted = Instant::now();
     let capture = Capture::start("serve.conn");
     let response = match http::read_request(stream, limits) {
         Ok(request) => Some(route(&request, state, queue, worker_count, accepted)),
@@ -1268,6 +1316,56 @@ mod tests {
         let (status, _) = request(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 503, "healthz reports draining");
         server.kill();
+    }
+
+    /// Stops `server` on another thread and fails, rather than hangs, when
+    /// that takes longer than two seconds.
+    fn stops_within_two_seconds(server: Server, stop: fn(Server)) {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            stop(server);
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(2)).is_ok(),
+            "the blocked accept thread was not woken"
+        );
+    }
+
+    #[test]
+    fn idle_servers_stop_promptly_on_any_bind_address() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let bind = |config: &mut ServeConfig| config.addr = addr.to_string();
+            stops_within_two_seconds(spawn_test_server(bind), Server::shutdown);
+            stops_within_two_seconds(spawn_test_server(bind), Server::kill);
+        }
+        let v6 = "[::]:9".parse().unwrap();
+        assert_eq!(wake_addr(v6), "[::1]:9".parse().unwrap());
+        let named = "192.0.2.7:80".parse().unwrap();
+        assert_eq!(wake_addr(named), named);
+    }
+
+    #[test]
+    fn the_wake_connection_leaves_no_trace() {
+        // A handled connection that sends nothing ends as a disconnect
+        // (EOF) or a 408 (head timeout); no other test in this binary
+        // produces either, so their registry counts must not move.
+        let count = |name: &str| metrics_snapshot().counters.get(name).copied();
+        let names = ["serve.disconnect", "serve.status.408"];
+        let before = names.map(count);
+        let log = std::env::temp_dir().join(format!("cogent-wake-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&log);
+        let server = spawn_test_server(|config| config.access_log = Some(log.clone()));
+        let state = Arc::clone(server.state());
+        server.shutdown();
+        // Connection threads are not joined, so a handled wake would be
+        // answered after `shutdown` returns; give one the time it takes.
+        std::thread::sleep(Duration::from_millis(100));
+        let text = std::fs::read_to_string(&log).expect("the access log exists");
+        let _ = std::fs::remove_file(&log);
+        assert_eq!(text, "", "no access-log line");
+        assert_eq!(state.flight.to_lines(), "", "no flight record");
+        assert_eq!(names.map(count), before);
     }
 
     #[test]

@@ -92,11 +92,24 @@ grep -q 'merged phase attribution' "$WORK/analysis.txt"
 grep -q '"id":"smoke-slow-1"' "$WORK/access.log"
 grep -q '"endpoint":"generate"' "$WORK/access.log"
 
-# Graceful shutdown writes a drain dump of the whole ring.
+# Graceful shutdown writes a drain dump of the whole ring. The server
+# must exit within 10 s of SIGTERM: an accept thread that is never woken
+# fails the smoke instead of hanging it.
 kill -TERM "$SERVER_PID"
+for _ in $(seq 1 100); do
+    kill -0 "$SERVER_PID" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 "$SERVER_PID" 2>/dev/null; then
+    echo "flight_smoke: server still running 10 s after SIGTERM" >&2
+    exit 1
+fi
 wait "$SERVER_PID"
 SERVER_PID=""
+# One record per request sent (each wrote one .http file), and none for
+# the connection that woke the accept thread.
+SENT=$(ls "$WORK"/*.http | wc -l)
 DRAIN_DUMP=$(ls "$WORK"/flight/flight-drain-*.jsonl | head -n1)
-[ "$(wc -l < "$DRAIN_DUMP")" -ge 3 ]
+[ "$(wc -l < "$DRAIN_DUMP")" -eq "$SENT" ]
 
 echo "flight_smoke: all checks passed" >&2
