@@ -40,18 +40,24 @@ for manifest in crates/*/Cargo.toml; do
     done
 done
 run cargo test -q --workspace $OFFLINE
-# Determinism sweep under both thread settings: serial and chunked
-# parallel search must emit byte-identical kernels for every TCCG entry.
+# Determinism sweep under both worker settings: COGENT_THREADS sizes
+# generate_many's worker pool, and a batch on one worker or on four must
+# emit byte-identical kernels for every TCCG entry.
 run env COGENT_THREADS=1 cargo test -q --test determinism $OFFLINE
 run env COGENT_THREADS=4 cargo test -q --test determinism $OFFLINE
+# A single generation never reads COGENT_THREADS: the span trees and
+# counters the CLI and the pipeline tests assert must not move under it.
+run env COGENT_THREADS=4 cargo test -q --bin cogent $OFFLINE
+run env COGENT_THREADS=4 cargo test -q -p cogent-core --test trace_pipeline $OFFLINE
 # Profiler + global-metrics smoke: `cogent profile` must attribute the
 # cold path on a TCCG entry (table + folded stacks), and `cogent stats`
-# must expose the merged cross-thread registry.
+# over a multi-job slate on two workers must expose the merged
+# cross-thread registry.
 run cargo run --release $OFFLINE --bin cogent -- profile "abcd-aebf-dfce" --size 24 \
     --runs 2 --folded target/profile_smoke.folded
 test -s target/profile_smoke.folded
-run env COGENT_THREADS=4 cargo run --release $OFFLINE --bin cogent -- stats \
-    "abcd-aebf-dfce" --size 24 --threads 4 > target/stats_smoke.prom
+run cargo run --release $OFFLINE --bin cogent -- stats \
+    --suite --group ccsd --threads 2 > target/stats_smoke.prom
 grep -q 'cogent_prune_checked_total' target/stats_smoke.prom
 # Serve daemon smoke check: the binary must refuse malformed env/flags
 # with exit 2 and a one-line diagnostic.

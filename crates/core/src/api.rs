@@ -176,12 +176,10 @@ impl Cogent {
     }
 
     /// Flattens every generator knob that can change the emitted kernel
-    /// into a stable string for the cache key. `threads` is deliberately
-    /// excluded: the search result is identical for every thread count
-    /// (see [`crate::select::search`]), so serial and parallel runs share
-    /// cache entries. So is `time_budget`: a search the budget cut short
-    /// is never cached, and one it did not cut short is the unbudgeted
-    /// search, so budgeted and unbudgeted callers share entries too. The
+    /// into a stable string for the cache key. `time_budget` is
+    /// deliberately excluded: a search the budget cut short is never
+    /// cached, and one it did not cut short is the unbudgeted search, so
+    /// budgeted and unbudgeted callers share entries. The
     /// constant `time_budget=None` field keeps the text, and so the keys
     /// already persisted on disk and their shard placement, what it was
     /// when the budget was part of the key.
@@ -202,8 +200,8 @@ impl Cogent {
 
     /// The inverse of [`Cogent::options_fingerprint`]: a generator on the
     /// default device and precision whose fingerprint is `text`. The
-    /// knobs the fingerprint leaves out (`threads`, `time_budget`, the
-    /// cache) keep their defaults.
+    /// knobs the fingerprint leaves out (`time_budget`, the cache) keep
+    /// their defaults.
     ///
     /// # Errors
     ///
@@ -561,16 +559,16 @@ impl Cogent {
 
     /// Generates kernels for a whole slate of contractions, sharing this
     /// generator's cache (when attached) and spreading the jobs over
-    /// [`SearchOptions::threads`] worker threads. Results come back in
-    /// job order, one `Result` per job — a failed job does not abort the
-    /// rest of the slate.
+    /// `workers` threads (clamped to `1..=jobs.len()`; see
+    /// [`threads_from_env`] for the conventional default). Results come
+    /// back in job order, one `Result` per job — a failed job does not
+    /// abort the rest of the slate.
     ///
-    /// With more than one worker, each job's *inner* search runs serially
-    /// (job-level parallelism replaces candidate-level parallelism, so a
-    /// 4-thread batch does not fan out into 16 threads). The emitted
-    /// kernels are byte-identical to one-at-a-time [`Cogent::generate`]
-    /// calls: the search is deterministic for every thread count, and
-    /// cache entries are keyed by everything that affects the output.
+    /// Jobs are the unit of parallelism: each job's search runs on the
+    /// worker that claimed it. The emitted kernels are byte-identical to
+    /// one-at-a-time [`Cogent::generate`] calls: the search is
+    /// deterministic, and cache entries are keyed by everything that
+    /// affects the output.
     ///
     /// Every batch records per-kernel traces when tracing is enabled:
     /// each worker opens its own capture, and the per-worker metrics
@@ -587,18 +585,18 @@ impl Cogent {
     pub fn generate_many(
         &self,
         jobs: &[(Contraction, SizeMap)],
+        workers: usize,
     ) -> Vec<Result<GeneratedKernel, CogentError>> {
-        let workers = self.options.threads.max(1).min(jobs.len().max(1));
-        if workers <= 1 {
+        let workers = workers.clamp(1, jobs.len().max(1));
+        if workers == 1 {
             return jobs
                 .iter()
                 .map(|(tc, sizes)| self.generate(tc, sizes))
                 .collect();
         }
-        let mut inner = self.clone();
-        inner.options.threads = 1;
-        let inner = &inner;
-        let next = AtomicUsize::new(0);
+        // Worker `w` starts on job `w`, so every spawned thread does work,
+        // then claims the next unclaimed job until none is left.
+        let next = AtomicUsize::new(workers);
         let slots: Mutex<Vec<Option<Result<GeneratedKernel, CogentError>>>> =
             Mutex::new((0..jobs.len()).map(|_| None).collect());
         let fork = cogent_obs::fork();
@@ -606,15 +604,15 @@ impl Cogent {
             let fork = fork.as_ref();
             let next = &next;
             let slots = &slots;
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((tc, sizes)) = jobs.get(i) else {
-                        break;
-                    };
-                    let _job = fork.map(|relay| relay.open("job", i));
-                    let result = inner.generate(tc, sizes);
-                    slots.lock().unwrap_or_else(|poison| poison.into_inner())[i] = Some(result);
+            for first in 0..workers {
+                scope.spawn(move || {
+                    let mut i = first;
+                    while let Some((tc, sizes)) = jobs.get(i) {
+                        let _job = fork.map(|relay| relay.open("job", i));
+                        let result = self.generate(tc, sizes);
+                        slots.lock().unwrap_or_else(|poison| poison.into_inner())[i] = Some(result);
+                        i = next.fetch_add(1, Ordering::Relaxed);
+                    }
                 });
             }
         });
@@ -632,6 +630,45 @@ impl Cogent {
                 None => Err(CogentError::NoConfiguration),
             })
             .collect()
+    }
+}
+
+/// Environment variable seeding the worker count of a job pool: the
+/// default of `cogent serve --workers` and of the `--threads` that
+/// `cogent batch`/`cogent stats` hand to [`Cogent::generate_many`]. A
+/// single generation never reads it. Unset or empty means `1`.
+pub const THREADS_ENV_VAR: &str = "COGENT_THREADS";
+
+/// Reads [`THREADS_ENV_VAR`], clamped to at least 1. Malformed values
+/// fall back to one worker; front-ends that want to reject them instead
+/// (the CLI exits 2, `cogent serve` refuses to start) should call
+/// [`threads_from_env_checked`] first.
+pub fn threads_from_env() -> usize {
+    threads_from_env_checked().unwrap_or(1).max(1)
+}
+
+/// Reads [`THREADS_ENV_VAR`] strictly: unset or empty means 1, and
+/// anything that does not parse as a positive integer — including `0` —
+/// is an error (one-line diagnostic, without the `cogent: ` prefix).
+pub fn threads_from_env_checked() -> Result<usize, String> {
+    parse_threads(std::env::var(THREADS_ENV_VAR).ok().as_deref())
+}
+
+/// The parsing rule behind [`threads_from_env_checked`], split out so the
+/// diagnostic is testable without touching the process environment.
+pub fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
+    let Some(raw) = raw else {
+        return Ok(1);
+    };
+    let value = raw.trim();
+    if value.is_empty() {
+        return Ok(1);
+    }
+    match value.parse::<usize>() {
+        Ok(0) | Err(_) => Err(format!(
+            "{THREADS_ENV_VAR}: invalid value {value:?} (want a positive integer)"
+        )),
+        Ok(n) => Ok(n),
     }
 }
 
@@ -845,17 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn threads_are_excluded_from_the_fingerprint() {
-        let serial = Cogent::new();
-        let opts = SearchOptions {
-            threads: 4,
-            ..SearchOptions::default()
-        };
-        let parallel = Cogent::new().search_options(opts);
-        assert_eq!(serial.options_fingerprint(), parallel.options_fingerprint());
-    }
-
-    #[test]
     fn a_time_budget_shares_cache_entries_with_unbudgeted_callers() {
         let tc: Contraction = "ij-ik-kj".parse().unwrap();
         let sizes = SizeMap::uniform(&tc, 32);
@@ -887,14 +913,9 @@ mod tests {
                 (tc, sizes)
             })
             .collect();
-        let opts = SearchOptions {
-            threads: 3,
-            ..SearchOptions::default()
-        };
         let batch = Cogent::new()
-            .search_options(opts)
             .cache(Arc::new(KernelCache::new(8)))
-            .generate_many(&jobs);
+            .generate_many(&jobs, 3);
         assert_eq!(batch.len(), jobs.len());
         for ((tc, sizes), result) in jobs.iter().zip(&batch) {
             let one = Cogent::new().generate(tc, sizes).unwrap();
@@ -913,11 +934,7 @@ mod tests {
             (good.clone(), bad_sizes),
             (good.clone(), good_sizes.clone()),
         ];
-        let opts = SearchOptions {
-            threads: 2,
-            ..SearchOptions::default()
-        };
-        let batch = Cogent::new().search_options(opts).generate_many(&jobs);
+        let batch = Cogent::new().generate_many(&jobs, 2);
         assert!(matches!(batch[0], Err(CogentError::IncompleteSizes { .. })));
         assert!(batch[1].is_ok());
     }
@@ -935,5 +952,28 @@ mod tests {
             .generate(&tc, &sizes)
             .unwrap_err();
         assert!(matches!(err, CogentError::BudgetExhausted { .. }));
+    }
+
+    #[test]
+    fn threads_env_parsing_defaults_to_one() {
+        // Exercise the reader without mutating the process environment
+        // (that would race other tests).
+        assert!(threads_from_env() >= 1);
+    }
+
+    #[test]
+    fn threads_parsing_is_strict_about_malformed_values() {
+        assert_eq!(parse_threads(None), Ok(1));
+        assert_eq!(parse_threads(Some("")), Ok(1));
+        assert_eq!(parse_threads(Some(" 8 ")), Ok(8));
+        let err = parse_threads(Some("zero")).unwrap_err();
+        assert_eq!(
+            err,
+            "COGENT_THREADS: invalid value \"zero\" (want a positive integer)"
+        );
+        // 0 workers is meaningless, not "serial": it must be rejected so a
+        // typo'd deployment does not silently run with a different shape.
+        assert!(parse_threads(Some("0")).is_err());
+        assert!(parse_threads(Some("-2")).is_err());
     }
 }

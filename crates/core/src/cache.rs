@@ -14,11 +14,12 @@
 //! `Arc<GeneratedKernel>`, so a hit shares the cached kernel instead of
 //! copying it; callers that need an owned kernel clone it themselves.
 //!
-//! The map is split into shards, each behind its own mutex, so a batched
-//! generation sweep with `COGENT_THREADS` workers does not serialize on
-//! one lock. Eviction is least-recently-used per shard, bounded by
-//! [`KernelCache::capacity`] entries overall (the `COGENT_CACHE_CAP`
-//! environment variable seeds [`KernelCache::from_env`]). A capacity of 0
+//! The map is split into shards, each behind its own mutex, so
+//! `Cogent::generate_many`'s workers and `cogent serve`'s worker pool do
+//! not serialize on one lock. Eviction is least-recently-used per shard,
+//! bounded by [`KernelCache::capacity`] entries overall (the
+//! `COGENT_CACHE_CAP` environment variable seeds
+//! [`KernelCache::from_env`]). A capacity of 0
 //! disables the cache entirely: lookups miss without recording
 //! statistics and inserts are dropped.
 //!
@@ -391,10 +392,10 @@ impl KernelCache {
             .unwrap_or(0)
     }
 
-    /// Clones one shard's entries as `(key, kernel, last_used)` triples,
-    /// in unspecified order (`last_used` orders them: smaller = colder).
-    /// Out-of-range indices yield an empty vector.
-    pub fn snapshot_shard(&self, index: usize) -> Vec<(CacheKey, GeneratedKernel, u64)> {
+    /// [`KernelCache::snapshot_shard`] without cloning the kernels: each
+    /// entry shares the cached one. Persistence reads only the keys and
+    /// source hashes, so it saves from this view.
+    pub(crate) fn shard_view(&self, index: usize) -> Vec<(CacheKey, Arc<GeneratedKernel>, u64)> {
         let Some(shard) = self.shards.get(index) else {
             return Vec::new();
         };
@@ -402,7 +403,17 @@ impl KernelCache {
         shard
             .map
             .iter()
-            .map(|(k, e)| (k.clone(), GeneratedKernel::clone(&e.kernel), e.last_used))
+            .map(|(k, e)| (k.clone(), Arc::clone(&e.kernel), e.last_used))
+            .collect()
+    }
+
+    /// Clones one shard's entries as `(key, kernel, last_used)` triples,
+    /// in unspecified order (`last_used` orders them: smaller = colder).
+    /// Out-of-range indices yield an empty vector.
+    pub fn snapshot_shard(&self, index: usize) -> Vec<(CacheKey, GeneratedKernel, u64)> {
+        self.shard_view(index)
+            .into_iter()
+            .map(|(k, kernel, last_used)| (k, GeneratedKernel::clone(&kernel), last_used))
             .collect()
     }
 

@@ -52,7 +52,7 @@ pub mod request;
 pub mod select;
 pub mod serve;
 
-pub use api::{Cogent, GeneratedKernel};
+pub use api::{threads_from_env, Cogent, GeneratedKernel, THREADS_ENV_VAR};
 pub use audit::{
     audit_contraction, spearman, AuditOptions, AuditReport, ConfigAudit, ContractionAudit,
     AUDIT_SCHEMA,
@@ -70,7 +70,5 @@ pub use guard::{
 };
 pub use library::{KernelLibrary, KernelVersion};
 pub use persist::{CachePersister, LoadReport, PersistError, SaveReport, CACHE_DIR_ENV_VAR};
-pub use select::{
-    search, threads_from_env, RankedConfig, SearchOptions, SearchOutcome, THREADS_ENV_VAR,
-};
+pub use select::{search, RankedConfig, SearchOptions, SearchOutcome};
 pub use serve::{ServeConfig, ServeError, Server};

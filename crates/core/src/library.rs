@@ -78,12 +78,9 @@ pub(crate) fn log_distance_slices(x: &[usize], y: &[usize]) -> f64 {
 }
 
 impl KernelLibrary {
-    /// Generates one kernel version per representative size. The versions
-    /// are built through [`Cogent::generate_many`], so a generator with
-    /// [`SearchOptions::threads`](crate::select::SearchOptions) > 1
-    /// searches the representatives concurrently, and an attached
-    /// [`KernelCache`](crate::cache::KernelCache) deduplicates repeated
-    /// representatives.
+    /// Generates one kernel version per representative size, one after
+    /// the other. An attached [`KernelCache`](crate::cache::KernelCache)
+    /// deduplicates repeated representatives.
     ///
     /// # Errors
     ///
@@ -98,16 +95,10 @@ impl KernelLibrary {
         if representatives.is_empty() {
             return Err(CogentError::NoRepresentatives);
         }
-        let jobs: Vec<(Contraction, SizeMap)> = representatives
+        let versions = representatives
             .iter()
-            .map(|sizes| (tc.clone(), sizes.clone()))
-            .collect();
-        let versions = generator
-            .generate_many(&jobs)
-            .into_iter()
-            .zip(representatives)
-            .map(|(result, sizes)| {
-                result.map(|kernel| KernelVersion {
+            .map(|sizes| {
+                generator.generate(tc, sizes).map(|kernel| KernelVersion {
                     representative: sizes.clone(),
                     kernel,
                 })
@@ -281,18 +272,13 @@ mod tests {
     }
 
     #[test]
-    fn build_uses_generate_many_with_threads_and_cache() {
+    fn build_dedups_repeated_representatives_through_the_cache() {
         use crate::cache::KernelCache;
-        use crate::select::SearchOptions;
         use std::sync::Arc;
 
         let tc: Contraction = "ij-ik-kj".parse().unwrap();
-        let opts = SearchOptions {
-            threads: 2,
-            ..SearchOptions::default()
-        };
         let cache = Arc::new(KernelCache::new(8));
-        let gen = Cogent::new().search_options(opts).cache(Arc::clone(&cache));
+        let gen = Cogent::new().cache(Arc::clone(&cache));
         // A duplicated representative is served from the cache.
         let rep = SizeMap::uniform(&tc, 64);
         let lib = KernelLibrary::build(&gen, &tc, &[rep.clone(), rep.clone(), rep]).unwrap();
@@ -300,6 +286,7 @@ mod tests {
         let v: Vec<_> = lib.iter().collect();
         assert_eq!(v[0].kernel.cuda_source, v[1].kernel.cuda_source);
         assert_eq!(v[1].kernel.cuda_source, v[2].kernel.cuda_source);
-        assert!(cache.stats().hits >= 1, "{:?}", cache.stats());
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 2), "{stats:?}");
     }
 }

@@ -36,7 +36,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use cogent_obs::json::Json;
 
@@ -270,7 +270,7 @@ impl CachePersister {
                 report.shards_clean += 1;
                 continue;
             }
-            let mut entries = cache.snapshot_shard(index);
+            let mut entries = cache.shard_view(index);
             entries.sort_by_key(|(_, _, last_used)| *last_used);
             self.write_shard(index, &shard_payload(index, &entries))?;
             report.shards_written += 1;
@@ -374,7 +374,7 @@ fn read_shard_file(path: &Path) -> Result<Vec<StoredEntry>, String> {
 
 /// Serializes one shard's entries (already sorted coldest-first) to the
 /// payload string.
-fn shard_payload(index: usize, entries: &[(CacheKey, GeneratedKernel, u64)]) -> String {
+fn shard_payload(index: usize, entries: &[(CacheKey, Arc<GeneratedKernel>, u64)]) -> String {
     let encoded = entries.iter().map(|(key, kernel, _)| {
         let (contraction, sizes, device, precision, options) = key.parts();
         Json::obj([

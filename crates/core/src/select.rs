@@ -1,22 +1,12 @@
 //! Model-driven configuration selection: enumerate → prune → rank.
 //!
-//! Pruning and cost ranking are embarrassingly parallel — every
-//! configuration is checked and costed independently — so both phases can
-//! be chunked across [`SearchOptions::threads`] worker threads (the
-//! `COGENT_THREADS` environment variable seeds the default). The result
-//! is **bit-for-bit identical** to the serial search: chunks are merged
-//! in enumeration order, per-chunk prune histograms are folded
-//! deterministically, and the final ranking uses a stable sort keyed by
-//! `(model cost, total config order)` so equal-cost candidates never
-//! depend on enumeration or interleaving order.
-//!
-//! Observability follows the work, not the coordinator: each chunk
-//! records its counters on the thread that ran it. Serially they attach
-//! to the open `prune`/`rank` span; in parallel they attach to relayed
-//! `prune.worker`/`rank.worker` spans ([`cogent_obs::fork`]) that carry
-//! the worker's thread id and merge into the parent trace in chunk
-//! order, and the same metrics reach the process-global registry
-//! through each worker's own shard.
+//! The search runs on its caller's thread. It is cheap by design — the
+//! §IV-A rules leave a few thousand configurations and Algorithm 3 ranks
+//! them without running a kernel — so parallelism lives one level up,
+//! across independent jobs (`Cogent::generate_many`, `cogent serve`'s
+//! workers). The result is deterministic: the final ranking uses a stable
+//! sort keyed by `(model cost, total config order)`, so equal-cost
+//! candidates never depend on enumeration order.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -28,44 +18,6 @@ use crate::config::KernelConfig;
 use crate::constraints::{check_interned, PruneReason, PruneRules};
 use crate::cost::{transaction_cost_interned, CostBreakdown};
 use crate::enumerate::{enumerate_interned, Enumeration, EnumerationBudget, EnumerationOptions};
-
-/// Environment variable seeding [`SearchOptions::threads`] (and the
-/// worker count of `Cogent::generate_many`). Unset, empty or unparsable
-/// values mean `1` (serial).
-pub const THREADS_ENV_VAR: &str = "COGENT_THREADS";
-
-/// Reads [`THREADS_ENV_VAR`], clamped to at least 1. Malformed values
-/// fall back to serial; front-ends that want to reject them instead (the
-/// CLI exits 2, `cogent serve` refuses to start) should call
-/// [`threads_from_env_checked`] first.
-pub fn threads_from_env() -> usize {
-    threads_from_env_checked().unwrap_or(1).max(1)
-}
-
-/// Reads [`THREADS_ENV_VAR`] strictly: unset or empty means 1, and
-/// anything that does not parse as a positive integer — including `0` —
-/// is an error (one-line diagnostic, without the `cogent: ` prefix).
-pub fn threads_from_env_checked() -> Result<usize, String> {
-    parse_threads(std::env::var(THREADS_ENV_VAR).ok().as_deref())
-}
-
-/// The parsing rule behind [`threads_from_env_checked`], split out so the
-/// diagnostic is testable without touching the process environment.
-pub fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = raw else {
-        return Ok(1);
-    };
-    let value = raw.trim();
-    if value.is_empty() {
-        return Ok(1);
-    }
-    match value.parse::<usize>() {
-        Ok(0) | Err(_) => Err(format!(
-            "{THREADS_ENV_VAR}: invalid value {value:?} (want a positive integer)"
-        )),
-        Ok(n) => Ok(n),
-    }
-}
 
 /// A configuration together with its modelled cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,7 +56,7 @@ pub struct SearchOutcome {
     /// Survivors ranked by modelled cost, best first (truncated to the
     /// requested `top_k`). Equal costs are broken by the configuration's
     /// total order, so the ranking is a pure function of the candidate
-    /// *set* — serial and parallel searches agree byte for byte.
+    /// *set*.
     pub ranked: Vec<RankedConfig>,
 }
 
@@ -144,11 +96,6 @@ pub struct SearchOptions {
     /// stop early with [`SearchOutcome::truncated`] set. `None` (the
     /// default) means unbounded.
     pub time_budget: Option<Duration>,
-    /// Worker threads for the prune and rank phases (1 = serial). The
-    /// default comes from the `COGENT_THREADS` environment variable
-    /// ([`threads_from_env`]). The search outcome is identical for every
-    /// thread count; only wall-clock time changes.
-    pub threads: usize,
 }
 
 impl Default for SearchOptions {
@@ -159,75 +106,14 @@ impl Default for SearchOptions {
             top_k: 16,
             max_configs: 262_144,
             time_budget: None,
-            threads: threads_from_env(),
         }
     }
-}
-
-/// How many worker threads to actually use for `len` items.
-fn effective_threads(threads: usize, len: usize) -> usize {
-    threads.max(1).min(len.max(1))
-}
-
-/// Runs `work` over `items` split into at most `threads` contiguous
-/// chunks, returning the per-chunk results **in chunk order**. With one
-/// effective thread the work runs inline on the caller's thread, so
-/// observability metrics fired inside `work` attach to the open phase
-/// span exactly as before threading existed. Otherwise each chunk runs
-/// on its own scoped thread under a relayed `<phase>.worker` span
-/// ([`cogent_obs::fork`]): worker-side counters and histograms land on
-/// that span (and merge into the global metric registry from the worker
-/// thread itself), and the worker subtrees are attached to the parent
-/// trace in chunk order after the join — no main-thread re-counting.
-fn run_chunked<'e, T, R>(
-    items: &'e [T],
-    threads: usize,
-    phase: &str,
-    work: impl Fn(&'e [T]) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    let threads = effective_threads(threads, items.len());
-    if threads <= 1 {
-        return vec![work(items)];
-    }
-    let chunk_len = items.len().div_ceil(threads);
-    let fork = cogent_obs::fork();
-    let results = std::thread::scope(|scope| {
-        let fork = fork.as_ref();
-        let work = &work;
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(index, chunk)| {
-                scope.spawn(move || {
-                    let _worker = fork.map(|f| f.open(&format!("{phase}.worker"), index));
-                    work(chunk)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    });
-    // All workers have joined; splice their spans under the open phase
-    // span in chunk order.
-    if let Some(fork) = fork {
-        fork.attach();
-    }
-    results
 }
 
 /// How often the prune/rank loops re-read the wall clock when a deadline
 /// is set (`Instant::now` costs far more than one rule check). Iteration 0
 /// is a multiple of the interval, so an already-expired deadline stops a
-/// chunk before any work happens.
+/// pass before any work happens.
 const DEADLINE_CHECK_INTERVAL: usize = 128;
 
 /// Accumulated results of one pruning pass (strict or relaxed).
@@ -272,123 +158,85 @@ impl PrunePass {
     }
 }
 
-/// The inputs a prune pass shares across all of its chunks: what to check
-/// against, and whether this is a relaxation pass (`relaxed` selects the
-/// `prune.relaxed.reject.*` counter names so relaxation passes stay
-/// distinguishable from the strict pass).
-#[derive(Clone, Copy)]
-struct PruneCtx<'a> {
-    device: &'a GpuDevice,
-    precision: Precision,
-    rules: &'a PruneRules,
-    relaxed: bool,
-}
-
-/// One full pass of the §IV-A rules over the arena candidates named by
-/// `indices`, chunked across `threads` workers and merged in enumeration
-/// order. A set `deadline` is re-checked every
-/// [`DEADLINE_CHECK_INTERVAL`] candidates; expiry stops the chunk and
-/// marks the pass truncated.
+/// One full pass of the §IV-A rules over every enumerated candidate, in
+/// enumeration order. `relaxed` selects the `prune.relaxed.reject.*`
+/// counter names so relaxation passes stay distinguishable from the
+/// strict pass. A set `deadline` is re-checked every
+/// [`DEADLINE_CHECK_INTERVAL`] candidates; expiry stops the pass and
+/// marks it truncated.
 fn prune_pass(
     en: &Enumeration,
-    indices: &[u32],
-    ctx: PruneCtx<'_>,
-    threads: usize,
+    device: &GpuDevice,
+    precision: Precision,
+    rules: &PruneRules,
+    relaxed: bool,
     deadline: Option<Instant>,
 ) -> PrunePass {
-    let chunks = run_chunked(indices, threads, "prune", |chunk: &[u32]| {
-        let mut pass = PrunePass::default();
-        for (k, &i) in chunk.iter().enumerate() {
-            if let Some(d) = deadline {
-                if k.is_multiple_of(DEADLINE_CHECK_INTERVAL) && Instant::now() >= d {
-                    pass.truncated = true;
-                    break;
-                }
-            }
-            pass.checked += 1;
-            let i = i as usize;
-            match check_interned(
-                &en.tables,
-                en.compiled.dims(en.arena.choice(i)),
-                en.arena.tiles(i),
-                ctx.device,
-                ctx.precision,
-                ctx.rules,
-            ) {
-                Ok(()) => pass.survivors.push(i as u32),
-                Err(reason) => pass.reasons[reason.index()] += 1,
+    let mut pass = PrunePass::default();
+    for i in 0..en.arena.len() {
+        if let Some(d) = deadline {
+            if i.is_multiple_of(DEADLINE_CHECK_INTERVAL) && Instant::now() >= d {
+                pass.truncated = true;
+                break;
             }
         }
-        // Recorded here, on the thread doing the work: serially these
-        // land on the open "prune" span; on a worker thread they land on
-        // its relayed "prune.worker" span and reach the global metric
-        // registry through the worker's own shard.
-        cogent_obs::counter("prune.checked", pass.checked as u128);
-        for (reason, &count) in PruneReason::ALL.iter().zip(&pass.reasons) {
-            if count > 0 {
-                let key = if ctx.relaxed {
-                    reason.relaxed_counter_key()
-                } else {
-                    reason.counter_key()
-                };
-                cogent_obs::counter(key, count as u128);
-            }
+        pass.checked += 1;
+        match check_interned(
+            &en.tables,
+            en.compiled.dims(en.arena.choice(i)),
+            en.arena.tiles(i),
+            device,
+            precision,
+            rules,
+        ) {
+            Ok(()) => pass.survivors.push(i as u32),
+            Err(reason) => pass.reasons[reason.index()] += 1,
         }
-        pass
-    });
-    let mut merged = PrunePass::default();
-    for chunk in chunks {
-        merged.absorb(chunk);
     }
-    merged
+    cogent_obs::counter("prune.checked", pass.checked as u128);
+    for (reason, &count) in PruneReason::ALL.iter().zip(&pass.reasons) {
+        if count > 0 {
+            let key = if relaxed {
+                reason.relaxed_counter_key()
+            } else {
+                reason.counter_key()
+            };
+            cogent_obs::counter(key, count as u128);
+        }
+    }
+    pass
 }
 
-/// Costs the surviving candidates, chunked across `threads` workers and
-/// merged in survivor order. Returns `(scored, truncated)`: a set
-/// `deadline` stops a chunk mid-scoring (same interval discipline as
-/// pruning) and reports the truncation.
+/// Costs the surviving candidates in survivor order. Returns `(scored,
+/// truncated)`: a set `deadline` stops the scoring (same interval
+/// discipline as pruning) and reports the truncation.
 fn rank_pass(
     en: &Enumeration,
     survivors: &[u32],
     device: &GpuDevice,
     precision: Precision,
-    threads: usize,
     deadline: Option<Instant>,
 ) -> (Vec<(u32, CostBreakdown)>, bool) {
-    let chunks = run_chunked(survivors, threads, "rank", |chunk: &[u32]| {
-        // A dedicated "cost" span: the model evaluation is the hot part
-        // of ranking and the profiler attributes it separately from the
-        // sort. transaction_cost_interned counts each evaluation on the
-        // evaluating thread — worker evaluations reach the trace through
-        // their relayed spans, with no main-thread re-counting.
-        let _cost = cogent_obs::span("cost");
-        let mut scored = Vec::with_capacity(chunk.len());
-        let mut truncated = false;
-        for (k, &i) in chunk.iter().enumerate() {
-            if let Some(d) = deadline {
-                if k.is_multiple_of(DEADLINE_CHECK_INTERVAL) && Instant::now() >= d {
-                    truncated = true;
-                    break;
-                }
-            }
-            let cost = transaction_cost_interned(
-                &en.tables,
-                en.compiled.dims(en.arena.choice(i as usize)),
-                en.arena.tiles(i as usize),
-                device,
-                precision,
-            );
-            scored.push((i, cost));
-        }
-        (scored, truncated)
-    });
+    // A dedicated "cost" span: the model evaluation is the hot part of
+    // ranking and the profiler attributes it separately from the sort.
+    let _cost = cogent_obs::span("cost");
     let mut scored = Vec::with_capacity(survivors.len());
-    let mut truncated = false;
-    for (chunk, chunk_truncated) in chunks {
-        scored.extend(chunk);
-        truncated |= chunk_truncated;
+    for (k, &i) in survivors.iter().enumerate() {
+        if let Some(d) = deadline {
+            if k.is_multiple_of(DEADLINE_CHECK_INTERVAL) && Instant::now() >= d {
+                return (scored, true);
+            }
+        }
+        let cost = transaction_cost_interned(
+            &en.tables,
+            en.compiled.dims(en.arena.choice(i as usize)),
+            en.arena.tiles(i as usize),
+            device,
+            precision,
+        );
+        scored.push((i, cost));
     }
-    (scored, truncated)
+    (scored, false)
 }
 
 /// The strict rules, then the rungs the search relaxes to when a pass
@@ -420,8 +268,7 @@ fn relaxation_ladder(strict: &PruneRules) -> [(Option<&'static str>, PruneRules)
 /// floors, then the coalescing requirement — so a best-effort
 /// configuration is always produced if the enumeration is non-empty.
 ///
-/// The search is deterministic: for a given input it returns the same
-/// [`SearchOutcome`] whatever [`SearchOptions::threads`] is set to, and
+/// The search runs on the caller's thread and is deterministic:
 /// equal-cost candidates are ordered by the configuration's total order
 /// rather than by enumeration position.
 ///
@@ -455,7 +302,6 @@ pub fn search(
     let _span = cogent_obs::span("search");
     let norm = tc.normalized();
     let raw_space = EnumerationOptions::raw_space_size(&norm);
-    let threads = options.threads.max(1);
 
     let deadline = options.time_budget.map(|t| Instant::now() + t);
     let budget = EnumerationBudget {
@@ -470,7 +316,6 @@ pub fn search(
         en
     };
     let enumerated = en.arena.len();
-    let all_indices: Vec<u32> = (0..enumerated as u32).collect();
 
     let prune_span = cogent_obs::span("prune");
     // Progressive relaxation for small problems: walk the ladder until a
@@ -496,28 +341,19 @@ pub fn search(
             }
             rules_relaxed = true;
         }
-        let ctx = PruneCtx {
-            device,
-            precision,
-            rules,
-            relaxed: tag.is_some(),
-        };
-        let pass = prune_pass(&en, &all_indices, ctx, threads, deadline);
+        let pass = prune_pass(&en, device, precision, rules, tag.is_some(), deadline);
         pass.fold_into(&mut histogram, *tag);
         pruned.absorb(pass);
     }
     let survivors = pruned.survivors;
     let prune_truncated = pruned.truncated;
-    // Per-check counters were recorded by the pruning threads themselves;
-    // only the pass-level summary belongs to the main thread.
     cogent_obs::counter("prune.survivors", survivors.len() as u128);
     cogent_obs::counter("prune.relaxed", u128::from(rules_relaxed));
     drop(prune_span);
 
     let survivor_count = survivors.len();
     let rank_span = cogent_obs::span("rank");
-    let (mut scored, rank_truncated) =
-        rank_pass(&en, &survivors, device, precision, threads, deadline);
+    let (mut scored, rank_truncated) = rank_pass(&en, &survivors, device, precision, deadline);
     // Deterministic ranking: stable sort on (modelled cost, config total
     // order) — the compiled menus' rank keys reproduce `KernelConfig`'s
     // derived `Ord` without materializing a config per comparison. Two
@@ -573,16 +409,6 @@ mod tests {
         )
     }
 
-    fn run_with_threads(tccg: &str, n: usize, threads: usize) -> SearchOutcome {
-        let tc: Contraction = tccg.parse().unwrap();
-        let sizes = SizeMap::uniform(&tc, n);
-        let opts = SearchOptions {
-            threads,
-            ..SearchOptions::default()
-        };
-        search(&tc, &sizes, &GpuDevice::v100(), Precision::F64, &opts)
-    }
-
     #[test]
     fn eq1_search_finds_config() {
         let o = run("abcd-aebf-dfce", 48);
@@ -635,21 +461,6 @@ mod tests {
             .map(|(_, v)| v)
             .sum();
         assert_eq!(strict, o.enumerated);
-    }
-
-    #[test]
-    fn serial_and_parallel_searches_are_identical() {
-        for (tccg, n) in [
-            ("abcd-aebf-dfce", 48),
-            ("abcdef-gdab-efgc", 16),
-            ("ij-ik-kj", 8),
-        ] {
-            let serial = run_with_threads(tccg, n, 1);
-            for threads in [2, 4, 7] {
-                let parallel = run_with_threads(tccg, n, threads);
-                assert_eq!(serial, parallel, "{tccg} diverges at {threads} threads");
-            }
-        }
     }
 
     #[test]
@@ -759,29 +570,24 @@ mod tests {
         assert!(all.len() > DEADLINE_CHECK_INTERVAL);
         let device = GpuDevice::v100();
         let rules = PruneRules::default();
-        let ctx = PruneCtx {
-            device: &device,
-            precision: Precision::F64,
-            rules: &rules,
-            relaxed: false,
-        };
+        let prune = |deadline| prune_pass(&en, &device, Precision::F64, &rules, false, deadline);
         let expired = Some(Instant::now());
 
         // Prune: iteration 0 already honors the deadline.
-        let pass = prune_pass(&en, &all, ctx, 1, expired);
+        let pass = prune(expired);
         assert!(pass.truncated);
         assert!(pass.survivors.is_empty());
         assert_eq!(pass.checked, 0);
 
         // Rank likewise scores nothing.
-        let (scored, truncated) = rank_pass(&en, &all, &device, Precision::F64, 1, expired);
+        let (scored, truncated) = rank_pass(&en, &all, &device, Precision::F64, expired);
         assert!(truncated);
         assert!(scored.is_empty());
 
         // A generous deadline changes nothing relative to no deadline.
         let generous = Some(Instant::now() + Duration::from_secs(3600));
-        let with = prune_pass(&en, &all, ctx, 1, generous);
-        let without = prune_pass(&en, &all, ctx, 1, None);
+        let with = prune(generous);
+        let without = prune(None);
         assert!(!with.truncated);
         assert_eq!(with.survivors, without.survivors);
         assert_eq!(with.reasons, without.reasons);
@@ -792,44 +598,5 @@ mod tests {
         let o = run("abcd-aebf-dfce", 48);
         assert_eq!(o.raw_space, 3_981_312);
         assert!((o.enumerated as u128) < o.raw_space);
-    }
-
-    #[test]
-    fn run_chunked_preserves_order() {
-        let items: Vec<usize> = (0..103).collect();
-        for threads in [1, 2, 4, 16] {
-            let doubled: Vec<usize> = run_chunked(&items, threads, "test", |chunk: &[usize]| {
-                chunk.iter().map(|x| x * 2).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-            assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn threads_env_parsing_defaults_to_one() {
-        // The variable is read through SearchOptions::default(); exercise
-        // the parser's fallback directly without mutating the process
-        // environment (that would race other tests).
-        assert!(threads_from_env() >= 1);
-        assert!(SearchOptions::default().threads >= 1);
-    }
-
-    #[test]
-    fn threads_parsing_is_strict_about_malformed_values() {
-        assert_eq!(parse_threads(None), Ok(1));
-        assert_eq!(parse_threads(Some("")), Ok(1));
-        assert_eq!(parse_threads(Some(" 8 ")), Ok(8));
-        let err = parse_threads(Some("zero")).unwrap_err();
-        assert_eq!(
-            err,
-            "COGENT_THREADS: invalid value \"zero\" (want a positive integer)"
-        );
-        // 0 threads is meaningless, not "serial": it must be rejected so a
-        // typo'd deployment does not silently run with a different shape.
-        assert!(parse_threads(Some("0")).is_err());
-        assert!(parse_threads(Some("-2")).is_err());
     }
 }

@@ -135,7 +135,7 @@ impl ServeConfig {
     pub fn from_env() -> Result<Self, String> {
         Ok(Self {
             cache_capacity: crate::cache::capacity_from_env()?,
-            workers: crate::select::threads_from_env_checked()?,
+            workers: crate::api::threads_from_env_checked()?,
             cache_dir: crate::persist::parse_cache_dir(
                 std::env::var(crate::persist::CACHE_DIR_ENV_VAR)
                     .ok()

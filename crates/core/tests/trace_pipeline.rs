@@ -115,32 +115,32 @@ fn relaxed_pruning_accounts_every_check() {
 
 #[test]
 fn parallel_workers_relay_spans_with_distinct_thread_ids() {
-    let tc: Contraction = "abcd-aebf-dfce".parse().unwrap();
-    let sizes = SizeMap::uniform(&tc, 16);
+    let jobs: Vec<(Contraction, SizeMap)> = [
+        "abcd-aebf-dfce",
+        "abcd-aebd-ce",
+        "abcd-ea-ebcd",
+        "abcdef-gdab-efgc",
+    ]
+    .iter()
+    .map(|spec| {
+        let tc: Contraction = spec.parse().unwrap();
+        let sizes = SizeMap::uniform(&tc, 16);
+        (tc, sizes)
+    })
+    .collect();
     cogent_obs::set_enabled(true);
-    let kernel = Cogent::new()
+    let capture = cogent_obs::Capture::start("batch");
+    let kernels = Cogent::new()
         .device(GpuDevice::v100())
         .precision(Precision::F64)
-        .search_options(cogent_core::SearchOptions {
-            threads: 4,
-            ..cogent_core::SearchOptions::default()
-        })
-        .generate(&tc, &sizes)
-        .unwrap();
-    let trace = kernel
-        .trace
-        .clone()
-        .expect("tracing enabled: trace attached");
+        .generate_many(&jobs, 4);
+    let trace = capture.finish().expect("tracing enabled: capture finishes");
 
-    // Chunk workers relay their spans back into the capture: the prune
-    // span owns one `prune.worker` child per chunk, and at least two of
-    // them ran on threads other than the capture thread.
-    let workers = trace.find_all("prune.worker");
-    assert!(
-        workers.len() >= 2,
-        "expected >= 2 prune.worker spans, got {}",
-        workers.len()
-    );
+    // Job workers relay their spans back into the capture: one `job`
+    // child per job, and at least two of them ran on threads other than
+    // the capture thread.
+    let workers = trace.find_all("job");
+    assert_eq!(workers.len(), jobs.len(), "one job span per job");
     let tids: std::collections::BTreeSet<u32> = workers.iter().map(|w| w.thread).collect();
     assert!(
         tids.len() >= 2,
@@ -152,10 +152,19 @@ fn parallel_workers_relay_spans_with_distinct_thread_ids() {
     );
 
     // Worker-side counters reached the relayed spans: summed across the
-    // whole tree they account for exactly one pass over the enumeration.
+    // whole tree they account for exactly one pass over each job's
+    // enumeration (none of these jobs relaxes its rules).
+    let enumerated: usize = kernels
+        .iter()
+        .map(|k| {
+            let search = &k.as_ref().expect("job generates").search;
+            assert!(!search.rules_relaxed);
+            search.enumerated
+        })
+        .sum();
     assert_eq!(
         trace.counter_sum_prefix("prune.checked"),
-        kernel.search.enumerated as u128,
+        enumerated as u128,
         "worker-side prune.checked lost in the relay"
     );
 }

@@ -157,15 +157,15 @@ mod tests {
 
     #[test]
     fn worker_spans_render_on_their_own_timeline_rows() {
-        let mut root = leaf("search", 0, 10_000);
-        let mut prune = leaf("prune", 1_000, 5_000);
-        let mut w0 = leaf("prune.worker", 1_100, 2_000);
+        let mut root = leaf("cogent stats", 0, 10_000);
+        let mut batch = leaf("batch", 1_000, 5_000);
+        let mut w0 = leaf("job", 1_100, 2_000);
         w0.thread = 5;
-        let mut w1 = leaf("prune.worker", 1_100, 2_100);
+        let mut w1 = leaf("job", 1_100, 2_100);
         w1.thread = 6;
-        prune.children.push(w0);
-        prune.children.push(w1);
-        root.children.push(prune);
+        batch.children.push(w0);
+        batch.children.push(w1);
+        root.children.push(batch);
         let doc = to_chrome_trace(&PipelineTrace { root });
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         // Three distinct tids → three metadata events + four span events.

@@ -774,13 +774,13 @@ pub struct TraceFork {
 ///
 /// ```
 /// cogent_obs::set_enabled(true);
-/// let capture = cogent_obs::Capture::start("search");
+/// let capture = cogent_obs::Capture::start("batch");
 /// let fork = cogent_obs::fork().expect("capture is open");
 /// std::thread::scope(|scope| {
 ///     for index in 0..2 {
 ///         let fork = &fork;
 ///         scope.spawn(move || {
-///             let _w = fork.open("prune.worker", index);
+///             let _w = fork.open("job", index);
 ///             cogent_obs::counter("prune.checked", 10);
 ///         });
 ///     }
@@ -1091,15 +1091,15 @@ mod tests {
     #[test]
     fn fork_relays_worker_spans_in_index_order() {
         let trace = with_tracing(|| {
-            let capture = Capture::start("search");
+            let capture = Capture::start("cogent");
             {
-                let _prune = span("prune");
+                let _batch = span("batch");
                 let fork = fork().expect("span is open");
                 std::thread::scope(|scope| {
                     for index in [1usize, 0] {
                         let fork = &fork;
                         scope.spawn(move || {
-                            let _w = fork.open("prune.worker", index);
+                            let _w = fork.open("job", index);
                             counter("prune.checked", (index as u128 + 1) * 10);
                         });
                     }
@@ -1108,19 +1108,19 @@ mod tests {
             }
             capture.finish().unwrap()
         });
-        let prune = trace.find("prune").unwrap();
-        assert_eq!(prune.children.len(), 2);
+        let batch = trace.find("batch").unwrap();
+        assert_eq!(batch.children.len(), 2);
         // Attached in index order, not join order.
-        assert_eq!(prune.children[0].counter("prune.checked"), Some(10));
-        assert_eq!(prune.children[1].counter("prune.checked"), Some(20));
+        assert_eq!(batch.children[0].counter("prune.checked"), Some(10));
+        assert_eq!(batch.children[1].counter("prune.checked"), Some(20));
         // Worker spans carry their own thread ordinals, distinct from the
         // forking thread's and from each other.
-        let tids: Vec<u32> = prune.children.iter().map(|c| c.thread).collect();
+        let tids: Vec<u32> = batch.children.iter().map(|c| c.thread).collect();
         assert_ne!(tids[0], tids[1]);
-        assert!(tids.iter().all(|&t| t != prune.thread));
+        assert!(tids.iter().all(|&t| t != batch.thread));
         // Worker timelines share the parent epoch.
-        for child in &prune.children {
-            assert!(child.start_ns >= prune.start_ns);
+        for child in &batch.children {
+            assert!(child.start_ns >= batch.start_ns);
         }
     }
 

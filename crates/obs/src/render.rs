@@ -95,7 +95,7 @@ mod tests {
                         children: vec![],
                     },
                     SpanNode {
-                        name: "prune.worker".into(),
+                        name: "job".into(),
                         start_ns: 20,
                         duration_ns: 500,
                         counters: vec![],

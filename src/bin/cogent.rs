@@ -19,9 +19,10 @@
 //! trace (span tree with timings, counters, histograms and gauges) to
 //! stderr on completion; `--trace-out FILE` instead writes the trace as
 //! `cogent.trace.v3` JSON to a file (`-` keeps the stderr tree).
-//! `COGENT_THREADS` parallelizes the search (and `batch` jobs);
-//! `COGENT_CACHE_CAP` sizes the kernel cache used by `batch` and
-//! `explain`. Neither changes the emitted kernels.
+//! `COGENT_THREADS` is the default worker count of `batch`, `stats` and
+//! `serve` (one job per worker; a single generation never reads it);
+//! `COGENT_CACHE_CAP` sizes the kernel cache used by `batch` and `serve`.
+//! Neither changes the emitted kernels.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -179,9 +180,10 @@ comma-separated list of those pass names in application order
 
 contractions use TCCG notation (\"abcd-aebf-dfce\") or the explicit form
 (\"C[i,j] = A[i,k] * B[k,j]\"); set COGENT_TRACE=1 to print any command's
-pipeline trace to stderr, COGENT_THREADS to parallelize the search,
-COGENT_CACHE_CAP to size the kernel cache (0 disables it), and
-COGENT_CACHE_DIR to persist the serve cache across restarts";
+pipeline trace to stderr, COGENT_THREADS to set the default worker count
+of batch, stats and serve (one job per worker), COGENT_CACHE_CAP to size
+the kernel cache (0 disables it), and COGENT_CACHE_DIR to persist the
+serve cache across restarts";
 
 fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     validate_env()?;
@@ -208,7 +210,7 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// diagnostic, not a silently applied default.
 fn validate_env() -> Result<(), CliError> {
     cogent::generator::cache::capacity_from_env().map_err(CliError::usage)?;
-    cogent::generator::select::threads_from_env_checked().map_err(CliError::usage)?;
+    cogent::generator::api::threads_from_env_checked().map_err(CliError::usage)?;
     Ok(())
 }
 
@@ -475,8 +477,8 @@ fn all_generated(failures: usize, total: usize) -> Result<(), CliError> {
     }
 }
 
-/// The generator `jobs` share (`None` for no jobs), searching on
-/// `--threads` threads, with that thread count and the jobs' [`Pairs`].
+/// The generator `jobs` share (`None` for no jobs), the worker count
+/// (`--threads`, defaulting to `COGENT_THREADS`) and the jobs' [`Pairs`].
 fn job_generator(
     args: &[String],
     jobs: &[(String, Request)],
@@ -484,18 +486,12 @@ fn job_generator(
     let Some((_, first)) = jobs.first() else {
         return Ok(None);
     };
-    let mut options = SearchOptions::default();
-    options.threads = positive(args, "--threads")?.unwrap_or(options.threads);
-    let threads = options.threads.max(1);
+    let threads = positive(args, "--threads")?.unwrap_or_else(cogent::generator::threads_from_env);
     let pairs = jobs
         .iter()
         .map(|(_, r)| (r.contraction.clone(), r.sizes.clone()))
         .collect();
-    Ok(Some((
-        first.generator().search_options(options),
-        threads,
-        pairs,
-    )))
+    Ok(Some((first.generator(), threads, pairs)))
 }
 
 /// Positional (non-flag) tokens, skipping every value that belongs to a
@@ -552,7 +548,7 @@ fn cmd_batch(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     let started = Instant::now();
-    let results = generator.generate_many(&pairs);
+    let results = generator.generate_many(&pairs, threads);
     let elapsed = started.elapsed();
 
     let mut failures = 0usize;
@@ -627,7 +623,7 @@ fn explain_report(args: &[String]) -> Result<String, CliError> {
     let request = request(args)?;
     let backend = parse_backend(args)?;
 
-    let generator = request.generator().with_default_cache();
+    let generator = request.generator();
     let generated = traced(|| generator.generate(&request.contraction, &request.sizes))
         .map_err(|e| format!("{e}"))?;
     let trace = generated
@@ -644,23 +640,8 @@ fn explain_report(args: &[String]) -> Result<String, CliError> {
     if has_flag(args, "--json") {
         return Ok(trace.to_json_string());
     }
-    let cache_line = match generator.kernel_cache() {
-        Some(cache) => {
-            let stats = cache.stats();
-            format!(
-                "cache:         capacity {} ({}={}) | hits {} | misses {} | evictions {}\n",
-                stats.capacity,
-                cogent::generator::CACHE_CAP_ENV_VAR,
-                stats.capacity,
-                stats.hits,
-                stats.misses,
-                stats.evictions,
-            )
-        }
-        None => String::new(),
-    };
     Ok(format!(
-        "{}backend:       {backend}\n{cache_line}\n{}",
+        "{}backend:       {backend}\n\n{}",
         kernel_summary(&request, &generated),
         trace.render_text().trim_end()
     ))
@@ -730,14 +711,14 @@ fn profile_report(args: &[String]) -> Result<String, CliError> {
 /// quantile and gauge recorded by any worker thread.
 fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let jobs = collect_jobs(args, str::to_string)?;
-    let Some((generator, _, pairs)) = job_generator(args, &jobs)? else {
+    let Some((generator, threads, pairs)) = job_generator(args, &jobs)? else {
         return Err(CliError::usage(
             "nothing to measure: pass contractions and/or --suite",
         ));
     };
     // Fresh window: only this slate's activity shows in the exposition.
     cogent::obs::reset_metrics();
-    let results = traced(|| generator.generate_many(&pairs));
+    let results = traced(|| generator.generate_many(&pairs, threads));
 
     let mut failures = 0usize;
     for ((label, _), result) in jobs.iter().zip(&results) {
@@ -1200,18 +1181,6 @@ mod tests {
     fn batch_rejects_bad_threads() {
         let e = cmd_batch(&s(&["ij-ik-kj", "--threads", "zero"]), &mut Vec::new()).unwrap_err();
         assert_eq!(e.exit, 2);
-    }
-
-    #[test]
-    fn explain_mentions_the_cache() {
-        let _tracing = tracing_lock();
-        let out = explain_report(&s(&["ij-ik-kj", "--size", "8"])).unwrap();
-        assert!(out.contains("cache:"), "no cache line in:\n{out}");
-        assert!(out.contains("COGENT_CACHE_CAP"));
-        assert!(
-            out.contains("misses 1"),
-            "fresh cache must miss once:\n{out}"
-        );
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! Determinism sweep over the full TCCG suite: the search and the
-//! emitted kernels must be bit-for-bit identical whether the work runs
-//! serially, chunked across worker threads, batched through
-//! `generate_many`, or replayed from a warm `KernelCache`.
+//! Determinism sweep over the full TCCG suite: the emitted kernels must
+//! be bit-for-bit identical whether a generator runs them one at a time,
+//! batched through `generate_many`'s workers, or replayed from a warm
+//! `KernelCache`.
 //!
-//! CI runs this file under both `COGENT_THREADS=1` and `COGENT_THREADS=4`
-//! — the environment variable steers every default-constructed generator
-//! (the cached one below included), so the assertions also prove the env
-//! knob cannot change any output.
+//! CI runs this file under both `COGENT_THREADS=1` and `COGENT_THREADS=4`:
+//! the variable seeds the worker count of the cold cached batch below, so
+//! the two runs drive `generate_many` on the caller's thread and over
+//! four workers, and the assertions also prove the env knob cannot change
+//! any output.
 
 use std::sync::Arc;
 
 use cogent::generator::select::{search, SearchOptions};
-use cogent::generator::KernelCache;
+use cogent::generator::{threads_from_env, KernelCache};
 use cogent::prelude::*;
 
 /// Shrinks an entry's sizes so the functional sweep stays fast in debug
@@ -25,47 +26,10 @@ fn test_sizes(entry: &cogent::tccg::TccgEntry, cap: usize) -> SizeMap {
     out
 }
 
-fn options_with_threads(threads: usize) -> SearchOptions {
-    SearchOptions {
-        threads,
-        ..SearchOptions::default()
-    }
-}
-
-/// The whole `SearchOutcome` — ranking, histogram, counters — must be
-/// equal between a serial and a 4-thread search, for every suite entry at
-/// its production sizes.
-#[test]
-fn search_outcome_is_identical_serial_vs_parallel_across_the_suite() {
-    let device = GpuDevice::v100();
-    for entry in cogent::tccg::suite() {
-        let tc = entry.contraction();
-        let sizes = entry.sizes();
-        let serial = search(
-            &tc,
-            &sizes,
-            &device,
-            Precision::F64,
-            &options_with_threads(1),
-        );
-        let parallel = search(
-            &tc,
-            &sizes,
-            &device,
-            Precision::F64,
-            &options_with_threads(4),
-        );
-        assert_eq!(
-            serial, parallel,
-            "{}: serial and 4-thread search outcomes diverge",
-            entry.name
-        );
-    }
-}
-
 /// Emitted CUDA and OpenCL must be byte-identical across four paths:
-/// serial `generate`, a 4-thread `generate_many` batch, and a cold and
-/// warm pass through a shared `KernelCache`.
+/// serial `generate`, a 4-worker `generate_many` batch, and a cold batch
+/// (over `COGENT_THREADS` workers) and warm pass through a shared
+/// `KernelCache`.
 #[test]
 fn emitted_sources_are_byte_identical_across_all_paths() {
     let entries = cogent::tccg::suite();
@@ -74,21 +38,22 @@ fn emitted_sources_are_byte_identical_across_all_paths() {
         .map(|entry| (entry.contraction(), test_sizes(entry, 10)))
         .collect();
 
-    let serial_gen = Cogent::new().search_options(options_with_threads(1));
-    let batch_gen = Cogent::new().search_options(options_with_threads(4));
-    // Default options: COGENT_THREADS steers this generator's search.
+    let serial_gen = Cogent::new();
     let cached_gen = Cogent::new().cache(Arc::new(KernelCache::with_shards(jobs.len(), 1)));
 
-    let batch = batch_gen.generate_many(&jobs);
-    for (entry, ((tc, sizes), batch_result)) in entries.iter().zip(jobs.iter().zip(batch)) {
+    let batch = Cogent::new().generate_many(&jobs, 4);
+    let cold_batch = cached_gen.generate_many(&jobs, threads_from_env());
+    let paths = batch.into_iter().zip(cold_batch);
+    for (entry, ((tc, sizes), (batch_result, cold_result))) in
+        entries.iter().zip(jobs.iter().zip(paths))
+    {
         let serial = serial_gen
             .generate(tc, sizes)
             .unwrap_or_else(|e| panic!("{}: serial generate failed: {e}", entry.name));
         let batched =
             batch_result.unwrap_or_else(|e| panic!("{}: batched generate failed: {e}", entry.name));
-        let cold = cached_gen
-            .generate(tc, sizes)
-            .unwrap_or_else(|e| panic!("{}: cold generate failed: {e}", entry.name));
+        let cold =
+            cold_result.unwrap_or_else(|e| panic!("{}: cold generate failed: {e}", entry.name));
         let warm = cached_gen
             .generate(tc, sizes)
             .unwrap_or_else(|e| panic!("{}: warm generate failed: {e}", entry.name));

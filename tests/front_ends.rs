@@ -61,6 +61,47 @@ fn every_command_reports_the_kernel_generate_prints() {
     }
 }
 
+/// A span tree without its timings: one line per span, indented by
+/// depth, naming the span and its counters.
+fn span_shape(node: &cogent::obs::SpanNode, depth: usize, out: &mut String) {
+    out.push_str(&format!(
+        "{}{} {:?}\n",
+        "  ".repeat(depth),
+        node.name,
+        node.counters
+    ));
+    for child in &node.children {
+        span_shape(child, depth + 1, out);
+    }
+}
+
+/// `COGENT_THREADS` sizes job pools only: a single generation's trace has
+/// the same spans, nesting and counters with the variable unset and at 4.
+#[test]
+fn explain_traces_do_not_depend_on_cogent_threads() {
+    let explain = |threads: Option<&str>| {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_cogent"));
+        command
+            .args(["explain", "abcd-aebf-dfce", "--size", "16", "--json"])
+            .env_remove("COGENT_TRACE")
+            .env_remove("COGENT_THREADS");
+        if let Some(threads) = threads {
+            command.env("COGENT_THREADS", threads);
+        }
+        let out = command.output().expect("spawning the cogent binary");
+        assert_eq!(out.status.code(), Some(0), "COGENT_THREADS={threads:?}");
+        let trace =
+            cogent::obs::PipelineTrace::from_json_str(&String::from_utf8(out.stdout).unwrap())
+                .expect("explain --json prints a trace");
+        let mut shape = String::new();
+        span_shape(&trace.root, 0, &mut shape);
+        shape
+    };
+    let unset = explain(None);
+    assert!(unset.contains("prune.checked"), "{unset}");
+    assert_eq!(unset, explain(Some("4")));
+}
+
 /// Removes every `*_latency_ns` member: wall times differ run to run.
 fn without_latencies(json: Json) -> Json {
     match json {

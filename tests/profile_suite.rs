@@ -1,15 +1,14 @@
 //! Phase-profiler acceptance suite: across the full 48-entry TCCG
 //! benchmark, the span instrumentation must explain (attribute to named
 //! phases below the root) at least 95% of the measured cold wall time,
-//! and a multi-thread generation must export a Chrome trace with real
-//! per-worker timelines (distinct `tid`s).
+//! and a multi-worker `generate_many` must export a Chrome trace with
+//! real per-worker timelines (distinct `tid`s).
 //!
 //! Tests in this file share the process-global tracing flag, so every
 //! test holds [`OBS_LOCK`] while the flag is on.
 
 use std::sync::Mutex;
 
-use cogent::generator::select::SearchOptions;
 use cogent::obs::profile::PhaseProfile;
 use cogent::prelude::*;
 
@@ -28,18 +27,10 @@ fn test_sizes(entry: &cogent::tccg::TccgEntry, cap: usize) -> SizeMap {
 }
 
 /// One traced cold generation (no cache) under the lock.
-fn traced_generate(
-    tc: &Contraction,
-    sizes: &SizeMap,
-    threads: usize,
-) -> cogent::generator::GeneratedKernel {
+fn traced_generate(tc: &Contraction, sizes: &SizeMap) -> cogent::generator::GeneratedKernel {
     let kernel = Cogent::new()
         .device(GpuDevice::v100())
         .precision(Precision::F64)
-        .search_options(SearchOptions {
-            threads,
-            ..SearchOptions::default()
-        })
         .generate(tc, sizes)
         .expect("suite entry generates");
     assert!(kernel.trace.is_some(), "tracing on: trace attached");
@@ -66,7 +57,7 @@ fn profiler_attributes_cold_wall_time_across_the_whole_suite() {
         let sizes = test_sizes(&entry, 24);
         let mut merged: Option<PhaseProfile> = None;
         for _ in 0..COVERAGE_RUNS {
-            let kernel = traced_generate(&tc, &sizes, 1);
+            let kernel = traced_generate(&tc, &sizes);
             let trace = kernel.trace.expect("trace attached");
             let profile = PhaseProfile::from_trace(&trace);
 
@@ -118,19 +109,33 @@ fn profiler_attributes_cold_wall_time_across_the_whole_suite() {
     assert_eq!(entries, 48, "the TCCG suite has 48 entries");
 }
 
-/// ISSUE 6 acceptance: a `COGENT_THREADS=4`-equivalent generation exports
-/// a Chrome trace whose events span at least two distinct worker-thread
-/// timelines (`tid`s beyond the capture thread), each announced by a
-/// `thread_name` metadata event.
+/// A traced 4-worker `generate_many` over four jobs exports a Chrome
+/// trace whose events span at least two distinct worker-thread timelines
+/// (`tid`s beyond the capture thread), each announced by a `thread_name`
+/// metadata event.
 #[test]
 fn chrome_export_shows_distinct_worker_timelines() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let jobs: Vec<(Contraction, SizeMap)> = [
+        "abcd-aebf-dfce",
+        "abcd-aebd-ce",
+        "abcd-ea-ebcd",
+        "abcdef-gdab-efgc",
+    ]
+    .iter()
+    .map(|spec| {
+        let tc: Contraction = spec.parse().unwrap();
+        let sizes = SizeMap::uniform(&tc, 16);
+        (tc, sizes)
+    })
+    .collect();
     cogent::obs::set_enabled(true);
-    let tc: Contraction = "abcd-aebf-dfce".parse().unwrap();
-    let sizes = SizeMap::uniform(&tc, 16);
-    let kernel = traced_generate(&tc, &sizes, 4);
+    let capture = cogent::obs::Capture::start("batch");
+    for kernel in Cogent::new().generate_many(&jobs, 4) {
+        kernel.expect("job generates");
+    }
+    let trace = capture.finish().expect("capture finishes");
     cogent::obs::set_enabled(false);
-    let trace = kernel.trace.expect("trace attached");
     let root_tid = trace.root.thread;
 
     let doc = cogent::obs::chrome::to_chrome_trace_string(&trace);

@@ -5,7 +5,7 @@
 //!
 //! * `search <entry> <sizes> <precision>` — the `Debug` form of the
 //!   [`SearchOutcome`] for every TCCG entry at suite sizes and at
-//!   `scaled_down(16)`, under `SearchOptions::default()` with one thread;
+//!   `scaled_down(16)`, under `SearchOptions::default()`;
 //! * `check <entry> <precision>` — the public [`check_config`] result of
 //!   every enumerated configuration at `scaled_down(16)` under each rung
 //!   of the search's relaxation ladder (strict, parallelism floors off,
@@ -64,10 +64,7 @@ fn ladder() -> [PruneRules; 3] {
 /// deterministic order.
 fn current_hashes() -> BTreeMap<String, String> {
     let device = GpuDevice::v100();
-    let options = SearchOptions {
-        threads: 1,
-        ..SearchOptions::default()
-    };
+    let options = SearchOptions::default();
     let ladder = ladder();
     let mut out = BTreeMap::new();
     for entry in cogent::tccg::suite() {
