@@ -59,6 +59,16 @@ test -s target/profile_smoke.folded
 run cargo run --release $OFFLINE --bin cogent -- stats \
     --suite --group ccsd --threads 2 > target/stats_smoke.prom
 grep -q 'cogent_prune_checked_total' target/stats_smoke.prom
+# The ranking's branch and bound must stay on: the group bound skips most
+# survivors, so the cost model runs on fewer candidates than survive
+# pruning, and the skipped ones are counted.
+grep -q '^cogent_rank_bound_skipped_total ' target/stats_smoke.prom
+evaluations=$(sed -n 's/^cogent_cost_model_evaluations_total //p' target/stats_smoke.prom)
+survivors=$(sed -n 's/^cogent_prune_survivors_total //p' target/stats_smoke.prom)
+if [ "${evaluations:-0}" -ge "${survivors:-0}" ]; then
+    echo "stats smoke: $evaluations cost-model evaluations for $survivors survivors (the bound skipped nothing)" >&2
+    exit 1
+fi
 # Serve daemon smoke check: the binary must refuse malformed env/flags
 # with exit 2 and a one-line diagnostic.
 if COGENT_CACHE_CAP=banana cargo run --release $OFFLINE --bin cogent -- serve 2>/dev/null; then

@@ -73,6 +73,7 @@ pub fn transaction_cost(
     precision: Precision,
 ) -> CostBreakdown {
     let (tables, dims, tiles) = SearchTables::intern_config(tc, cfg, sizes);
+    cogent_obs::counter("cost.model_evaluations", 1);
     transaction_cost_interned(&tables, dims, &tiles, device, precision)
 }
 
@@ -84,11 +85,18 @@ pub fn paper_transaction_cost(
     sizes: &SizeMap,
 ) -> CostBreakdown {
     let (tables, dims, tiles) = SearchTables::intern_config(tc, cfg, sizes);
-    algorithm3(&tables, dims, &tiles, row_transactions_paper)
+    algorithm3(
+        &tables,
+        dims,
+        &tiles,
+        row_transactions_paper,
+        row_transactions_paper,
+    )
 }
 
 /// [`transaction_cost`] over interned search state: what the search ranks
-/// by. Every model evaluation is counted on the enclosing trace span, so
+/// by. Callers count their evaluations on the `cost.model_evaluations`
+/// counter of the enclosing trace span (the search in bulk), so
 /// model-vs-trace discrepancies are attributable per generate request.
 pub(crate) fn transaction_cost_interned(
     tables: &SearchTables,
@@ -97,36 +105,59 @@ pub(crate) fn transaction_cost_interned(
     device: &GpuDevice,
     precision: Precision,
 ) -> CostBreakdown {
-    cogent_obs::counter("cost.model_evaluations", 1);
-    algorithm3(tables, dims, tiles, |row_len, cont| {
-        row_transactions_hw(device, precision, row_len, cont)
-    })
+    let per_row = |row_len, cont| row_transactions_hw(device, precision, row_len, cont);
+    algorithm3(tables, dims, tiles, per_row, per_row)
+}
+
+/// A lower bound on [`transaction_cost`] for every candidate of one
+/// `(TBx, REGx, TBy, REGy)` group: Algorithm 3 over the group's tile row
+/// (internal indices at 1) with one TBk row, and each input row counted
+/// as its bytes in whole transactions. No internal index enters the
+/// output store or the block count, so both are exact. Each input load is
+/// at least the bound's: `steps × TBk rows` of any candidate cover every
+/// internal extent, which the untiled row's steps equal, and a row costs
+/// at least its bytes in whole transactions, however its runs split.
+pub(crate) fn group_lower_bound(
+    tables: &SearchTables,
+    dims: ConfigDims,
+    tiles: &[usize],
+    device: &GpuDevice,
+    precision: Precision,
+) -> u128 {
+    let load_row = |row_len: usize, _| {
+        (row_len * precision.bytes()).div_ceil(device.transaction_bytes) as u128
+    };
+    let store_row = |row_len, cont| row_transactions_hw(device, precision, row_len, cont);
+    let dims = ConfigDims { tbk: 1, ..dims };
+    algorithm3(tables, dims, tiles, load_row, store_row).total()
 }
 
 /// Algorithm 3 over a candidate's list-size products ([`ConfigDims`]) and
-/// flat tile row, with `per_row(row_len, cont)` counting the transactions
-/// of one row of threads. Inputs: per-row count × `TBk` rows × the
-/// register multiplier × steps × blocks; the output: per-row count × `TBy`
-/// rows × the register tile × blocks (saturating, in that order).
+/// flat tile row; `load_row(row_len, cont)` and `store_row(..)` count the
+/// transactions of one row of threads reading an input and writing the
+/// output. Inputs: per-row count × `TBk` rows × the register multiplier ×
+/// steps × blocks; the output: per-row count × `TBy` rows × the register
+/// tile × blocks (saturating, in that order).
 fn algorithm3(
     tables: &SearchTables,
     dims: ConfigDims,
     tiles: &[usize],
-    per_row: impl Fn(usize, usize) -> u128,
+    load_row: impl Fn(usize, usize) -> u128,
+    store_row: impl Fn(usize, usize) -> u128,
 ) -> CostBreakdown {
     let steps = num_steps(tables, tiles);
     let blocks = num_thread_blocks(tables, tiles);
     let rows_k = dims.tbk.max(1) as u128;
     let input = |ids: &[u32], row_len: usize, reg_mult: usize| {
         let cont = contiguous_elements(ids, tables, tiles);
-        per_row(row_len, cont)
+        load_row(row_len, cont)
             .saturating_mul(rows_k)
             .saturating_mul(reg_mult as u128)
             .saturating_mul(steps)
             .saturating_mul(blocks)
     };
     let cont_c = contiguous_elements(&tables.c_ids, tables, tiles);
-    let store_c = per_row(dims.tbx, cont_c)
+    let store_c = store_row(dims.tbx, cont_c)
         .saturating_mul(dims.tby.max(1) as u128)
         .saturating_mul((dims.regx * dims.regy) as u128)
         .saturating_mul(blocks);
@@ -366,6 +397,32 @@ mod tests {
             concordant >= discordant,
             "model and tracer disagree: {concordant} vs {discordant}"
         );
+    }
+
+    #[test]
+    fn group_bound_never_exceeds_a_candidates_cost() {
+        use crate::enumerate::{enumerate_interned, EnumerationBudget, EnumerationOptions};
+        use Precision::{F32, F64};
+
+        for entry in cogent_tccg::suite() {
+            let norm = entry.contraction().normalized();
+            let sizes = entry.sizes().scaled_down(16);
+            let options = EnumerationOptions::default();
+            let en = enumerate_interned(&norm, &sizes, &options, &EnumerationBudget::unlimited());
+            let mut row = vec![1; en.tables.num_indices()];
+            let devices = [GpuDevice::v100(), GpuDevice::p100()];
+            for (device, precision) in devices.iter().flat_map(|d| [(d, F64), (d, F32)]) {
+                for group in &en.groups {
+                    en.compiled.fill_group(group.menus, &mut row);
+                    let dims = en.compiled.dims(group.choice(0));
+                    let bound = group_lower_bound(&en.tables, dims, &row, device, precision);
+                    for cfg in (0..group.tbk).map(|k| en.menus.materialize(group.choice(k))) {
+                        let cost = transaction_cost(&norm, &cfg, &sizes, device, precision);
+                        assert!(bound <= cost.total(), "{}: {cfg} {bound}", entry.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,28 +15,21 @@
 //!   (∈ {4, 8, 16}); internals beyond the target keep tile 1.
 //!
 //! The full candidate set is the Cartesian product of the partial
-//! enumerations (§IV-A3). The menus themselves are built once per
-//! *clamped size signature* and cached per thread ([`RawMenus`]): the
-//! menu construction only ever compares extents against the (small) tile
-//! targets, so any two size maps that agree after clamping every extent
-//! to the largest target produce byte-identical menus — near-duplicate
-//! problem sizes warm-start each other's enumeration for free.
+//! enumerations (§IV-A3), whose menus ([`RawMenus`]) are built once per
+//! search.
 //!
-//! The hot loop itself emits into a [`ConfigArena`] (interned ids and
-//! flat tile rows, see [`crate::intern`]) instead of cloning
-//! `IndexName` lists per candidate; [`enumerate_configs`] materializes
-//! owned [`KernelConfig`]s from the arena for API compatibility.
+//! The walk over the product writes no per-candidate rows: it emits one
+//! [`Group`] per `(TBx, REGx, TBy, REGy)` choice, standing for that
+//! choice combined with each TBk entry. The search decides the §IV-A
+//! rules and bounds Algorithm 3 per group (see [`crate::select`]);
+//! [`enumerate_configs`] expands the groups into owned [`KernelConfig`]s.
 
-use std::cell::RefCell;
-use std::collections::BTreeSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 use cogent_ir::{Contraction, ContractionAnalysis, IndexName, SizeMap};
 
 use crate::config::{KernelConfig, MappedIndex};
-use crate::intern::{CompiledMenus, ConfigArena, MenuChoice, SearchTables};
-use crate::library::log_distance_slices;
+use crate::intern::{CompiledMenus, MenuChoice, SearchTables};
 
 /// Hard bounds on the enumeration, so pathological high-rank contractions
 /// truncate gracefully instead of exhausting memory or wall-clock time.
@@ -61,31 +54,34 @@ impl EnumerationBudget {
             deadline: None,
         }
     }
-
-    /// Whether the budget is exhausted after `emitted` configurations and
-    /// `iterations` visits of the inner loop. The deadline is only
-    /// consulted every 128 *iterations* — `Instant::now` is two orders of
-    /// magnitude more expensive than one loop iteration — and the counter
-    /// is monotonic per visit, never per emission: keying the check on the
-    /// emitted count would let an inner loop that emits rarely (or not at
-    /// all) run arbitrarily past the deadline. Iteration 0 is a multiple
-    /// of 128, so an already-expired deadline stops the loop before any
-    /// work happens.
-    fn exhausted(&self, emitted: usize, iterations: usize) -> bool {
-        if emitted >= self.max_configs {
-            return true;
-        }
-        match self.deadline {
-            Some(d) if iterations.is_multiple_of(128) => Instant::now() >= d,
-            _ => false,
-        }
-    }
 }
 
 impl Default for EnumerationBudget {
     fn default() -> Self {
         Self::unlimited()
     }
+}
+
+/// How often the search's phases re-read the wall clock when a deadline is
+/// set, in rows (`Instant::now` costs far more than deciding a row).
+pub(crate) const DEADLINE_CHECK_INTERVAL: usize = 128;
+
+/// How many of the `rows` rows after the first `done` a phase may work
+/// through before `deadline`: the clock is read at each multiple of
+/// [`DEADLINE_CHECK_INTERVAL`] rows visited (kept or not), and the rows
+/// from the first one past the deadline on are cut. Row 0 is such a
+/// multiple, so an expired deadline admits no row at all.
+pub(crate) fn rows_before(deadline: Option<Instant>, done: usize, rows: usize) -> usize {
+    if let Some(deadline) = deadline {
+        let mut at = done.next_multiple_of(DEADLINE_CHECK_INTERVAL);
+        while at < done + rows {
+            if Instant::now() >= deadline {
+                return at - done;
+            }
+            at += DEADLINE_CHECK_INTERVAL;
+        }
+    }
+    rows
 }
 
 /// Tunable menus for the enumeration.
@@ -123,20 +119,6 @@ impl EnumerationOptions {
         let mapping = 4u128.pow(e) * 2u128.pow(i.saturating_sub(1));
         let tilesize = 6u128.pow(e + i.saturating_sub(1));
         mapping * tilesize
-    }
-
-    /// The largest tile target any menu accumulates towards. Extents at or
-    /// above this value are interchangeable as far as menu construction is
-    /// concerned (see [`menu_signature`]).
-    fn max_target(&self) -> usize {
-        self.tb_sizes
-            .iter()
-            .chain(self.reg_sizes.iter())
-            .chain(self.tbk_sizes.iter())
-            .copied()
-            .max()
-            .unwrap_or(1)
-            .max(1)
     }
 }
 
@@ -206,50 +188,26 @@ fn rotations<'a>(candidates: &'a [(&'a IndexName, usize)]) -> Vec<Vec<(&'a Index
         .collect()
 }
 
-/// Enumerates thread-dimension lists for one input tensor's externals.
-fn enum_tb(
-    externals: &[(&IndexName, usize)],
+/// The distinct lists [`accumulate`] builds from every rotation of
+/// `candidates` towards each of `targets` (partial lists accepted), in
+/// first-seen order after the lists of `out` (the empty mapping `REG = 1`
+/// for register menus).
+fn enum_lists(
+    candidates: &[(&IndexName, usize)],
     targets: &[usize],
-    forced_first: Option<MappedIndex>,
+    seed: Option<MappedIndex>,
+    mut out: Vec<PartialList>,
 ) -> Vec<PartialList> {
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
     for &target in targets {
-        for order in rotations(externals) {
-            if let Some(list) = accumulate(&order, target, forced_first.clone(), true) {
-                let key: Vec<(String, usize)> =
-                    list.iter().map(|(n, t)| (n.to_string(), *t)).collect();
-                if seen.insert(key) {
+        for order in rotations(candidates) {
+            if let Some(list) = accumulate(&order, target, seed.clone(), true) {
+                if !out.contains(&list) {
                     out.push(list);
                 }
             }
         }
     }
     out
-}
-
-/// Enumerates register-tile lists from the externals not used by the
-/// thread-dimension list. Always includes the empty mapping (`REG = 1`).
-fn enum_reg(remaining: &[(&IndexName, usize)], targets: &[usize]) -> Vec<PartialList> {
-    let mut seen = BTreeSet::new();
-    let mut out = vec![Vec::new()];
-    seen.insert(Vec::new());
-    for &target in targets {
-        for order in rotations(remaining) {
-            if let Some(list) = accumulate(&order, target, None, true) {
-                let key: Vec<(String, usize)> =
-                    list.iter().map(|(n, t)| (n.to_string(), *t)).collect();
-                if seen.insert(key) {
-                    out.push(list);
-                }
-            }
-        }
-    }
-    out
-}
-
-fn names_in(list: &[MappedIndex]) -> BTreeSet<&str> {
-    list.iter().map(|(n, _)| n.as_str()).collect()
 }
 
 /// The structured menus of one enumeration, with the register menus
@@ -305,44 +263,38 @@ fn build_raw_menus(norm: &Contraction, sizes: &SizeMap, options: &EnumerationOpt
         .collect();
 
     let fvi_size = sizes.extent_of(&c_fvi);
-    let tbx = enum_tb(&ext_a, &options.tb_sizes, Some((c_fvi.clone(), fvi_size)));
+    let tbx = enum_lists(
+        &ext_a,
+        &options.tb_sizes,
+        Some((c_fvi.clone(), fvi_size)),
+        vec![],
+    );
     // An input with no external indices (e.g. matrix-vector shapes like
     // `i-ik-k`) legitimately leaves TBy empty: the block is 1-thread tall.
     let tby = if ext_b.is_empty() {
         vec![Vec::new()]
     } else {
-        enum_tb(&ext_b, &options.tb_sizes, None)
+        enum_lists(&ext_b, &options.tb_sizes, None, vec![])
     };
     let tbk = if ints.is_empty() {
         vec![Vec::new()]
     } else {
-        enum_tb(&ints, &options.tbk_sizes, None)
+        enum_lists(&ints, &options.tbk_sizes, None, vec![])
     };
-
-    let regx = tbx
-        .iter()
-        .map(|list| {
-            let used = names_in(list);
-            let rem: Vec<(&IndexName, usize)> = ext_a
+    // Per thread-list entry: the register menu over the externals it left.
+    let reg_menus = |lists: &[PartialList], externals: &[(&IndexName, usize)]| {
+        let menu = |list: &PartialList| {
+            let rem: Vec<(&IndexName, usize)> = externals
                 .iter()
-                .filter(|(n, _)| !used.contains(n.as_str()))
+                .filter(|(n, _)| list.iter().all(|(m, _)| m != *n))
                 .copied()
                 .collect();
-            enum_reg(&rem, &options.reg_sizes)
-        })
-        .collect();
-    let regy = tby
-        .iter()
-        .map(|list| {
-            let used = names_in(list);
-            let rem: Vec<(&IndexName, usize)> = ext_b
-                .iter()
-                .filter(|(n, _)| !used.contains(n.as_str()))
-                .copied()
-                .collect();
-            enum_reg(&rem, &options.reg_sizes)
-        })
-        .collect();
+            enum_lists(&rem, &options.reg_sizes, None, vec![Vec::new()])
+        };
+        lists.iter().map(menu).collect()
+    };
+    let regx = reg_menus(&tbx, &ext_a);
+    let regy = reg_menus(&tby, &ext_b);
 
     RawMenus {
         tbx,
@@ -353,98 +305,51 @@ fn build_raw_menus(norm: &Contraction, sizes: &SizeMap, options: &EnumerationOpt
     }
 }
 
-/// The per-index extents that menu construction can actually distinguish:
-/// every comparison in [`accumulate`] is of the form
-/// `accumulated_product * extent >= target`, and a raw extent enters a
-/// menu list only when it is *below* the target. Clamping each extent to
-/// the largest menu target therefore preserves every branch decision and
-/// every emitted tile — two size maps with equal clamped signatures yield
-/// byte-identical menus.
-fn menu_signature(norm: &Contraction, sizes: &SizeMap, options: &EnumerationOptions) -> Vec<usize> {
-    let clamp = options.max_target();
-    norm.all_indices()
-        .map(|i| sizes.extent_of(i).min(clamp))
-        .collect()
+/// One `(TBx, REGx, TBy, REGy)` menu choice and the number of TBk entries
+/// the enumeration reached under it: the whole TBk menu, except in the
+/// group where `max_configs` or the deadline cut the space. Its rows are
+/// the choice combined with TBk entries `0..tbk`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Group {
+    pub menus: [u32; 4],
+    pub tbk: u32,
 }
 
-/// Cache key for one menu set.
-struct MenuCacheEntry {
-    contraction: Contraction,
-    options: EnumerationOptions,
-    signature: Vec<usize>,
-    menus: Arc<RawMenus>,
-}
-
-/// Per-thread warm-start cache: searches over near-duplicate problem
-/// sizes (equal clamped signatures) reuse each other's menus instead of
-/// re-running the rotation/accumulation construction. Eviction drops the
-/// entry *farthest* from the incoming signature under the same log-space
-/// distance the kernel library uses for version selection
-/// ([`log_distance_slices`]), so a serve worker cycling through a cluster
-/// of similar workloads keeps the relevant menus resident.
-const MENU_CACHE_CAP: usize = 32;
-
-thread_local! {
-    static MENU_CACHE: RefCell<Vec<MenuCacheEntry>> = const { RefCell::new(Vec::new()) };
-}
-
-fn menus_for(norm: &Contraction, sizes: &SizeMap, options: &EnumerationOptions) -> Arc<RawMenus> {
-    let signature = menu_signature(norm, sizes, options);
-    MENU_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(entry) = cache
-            .iter()
-            .find(|e| e.signature == signature && e.contraction == *norm && e.options == *options)
-        {
-            cogent_obs::counter("enumerate.menu_cache.hit", 1);
-            return Arc::clone(&entry.menus);
-        }
-        cogent_obs::counter("enumerate.menu_cache.miss", 1);
-        let menus = Arc::new(build_raw_menus(norm, sizes, options));
-        if cache.len() >= MENU_CACHE_CAP {
-            // Evict the entry least similar to the incoming signature;
-            // entries for other contractions or option sets count as
-            // infinitely distant. Ties evict the oldest.
-            let mut victim = 0usize;
-            let mut worst = f64::MIN;
-            for (i, e) in cache.iter().enumerate() {
-                let d = if e.contraction == *norm && e.options == *options {
-                    log_distance_slices(&e.signature, &signature)
-                } else {
-                    f64::INFINITY
-                };
-                if d > worst {
-                    worst = d;
-                    victim = i;
-                }
-            }
-            cache.swap_remove(victim);
-        }
-        cache.push(MenuCacheEntry {
-            contraction: norm.clone(),
-            options: options.clone(),
-            signature,
-            menus: Arc::clone(&menus),
-        });
-        menus
-    })
+impl Group {
+    /// The full menu choice of this group's row with TBk entry `k`.
+    pub fn choice(&self, k: u32) -> MenuChoice {
+        let [x, rx, y, ry] = self.menus;
+        [x, rx, y, ry, k]
+    }
 }
 
 /// Everything one enumeration produced, in interned form: the tables,
-/// the (possibly cache-shared) raw menus, their compiled counterparts,
-/// and the candidate arena.
+/// the raw menus, their compiled counterparts, and the rows as groups.
 pub(crate) struct Enumeration {
     pub tables: SearchTables,
-    pub menus: Arc<RawMenus>,
+    pub menus: RawMenus,
     pub compiled: CompiledMenus,
-    pub arena: ConfigArena,
+    /// The enumerated rows in enumeration order, one group per
+    /// `(TBx, REGx, TBy, REGy)` choice.
+    pub groups: Vec<Group>,
+    /// The number of enumerated rows (the groups' `tbk` summed).
+    pub rows: usize,
     pub truncated: bool,
 }
 
-/// Runs the structured enumeration for an already-normalized contraction,
-/// emitting into a [`ConfigArena`]. This is the search's hot path; the
-/// public [`enumerate_configs_bounded`] materializes owned configs from
-/// it.
+impl Enumeration {
+    /// Every enumerated row's menu choice, in enumeration order.
+    pub fn choices(&self) -> impl Iterator<Item = MenuChoice> + '_ {
+        self.groups
+            .iter()
+            .flat_map(|g| (0..g.tbk).map(move |k| g.choice(k)))
+    }
+}
+
+/// Runs the structured enumeration for an already-normalized contraction:
+/// the Cartesian product of the menus, walked TBx → REGx → TBy → REGy →
+/// TBk and emitted as [`Group`]s. Both the search and the public
+/// [`enumerate_configs_bounded`] run on it.
 pub(crate) fn enumerate_interned(
     norm: &Contraction,
     sizes: &SizeMap,
@@ -452,7 +357,7 @@ pub(crate) fn enumerate_interned(
     budget: &EnumerationBudget,
 ) -> Enumeration {
     let tables = SearchTables::new(norm, sizes);
-    let menus = menus_for(norm, sizes, options);
+    let menus = build_raw_menus(norm, sizes, options);
     let compiled = CompiledMenus::compile(&menus, &tables);
 
     // Menu sizes of the structured enumeration; attributed to whichever
@@ -461,31 +366,30 @@ pub(crate) fn enumerate_interned(
     cogent_obs::counter("enumerate.tby_lists", compiled.tby.len() as u128);
     cogent_obs::counter("enumerate.tbk_lists", compiled.tbk.len() as u128);
 
-    let mut arena = ConfigArena::new(tables.num_indices());
-    let mut truncated = false;
     // Every 5-tuple drawn from the menus is a distinct configuration:
-    // each menu holds pairwise-distinct lists (enum_tb/enum_reg dedup
-    // their own output), the X/Y/K index sets are disjoint, and a REGx
-    // list never repeats a TBx index (it draws from the remaining
-    // externals) — so two choices differing in any component materialize
-    // different configs. The per-candidate `canonical_key` dedup the
-    // original loop carried could therefore never fire and is gone;
-    // `enumerated_configs_are_distinct` pins the argument.
-    let mut iterations = 0usize;
-    'space: for (xi, tbx) in compiled.tbx.iter().enumerate() {
-        for (rxi, regx) in compiled.regx[xi].iter().enumerate() {
-            for (yi, tby) in compiled.tby.iter().enumerate() {
-                for (ryi, regy) in compiled.regy[yi].iter().enumerate() {
-                    for (ki, tbk) in compiled.tbk.iter().enumerate() {
-                        if budget.exhausted(arena.len(), iterations) {
-                            truncated = true;
-                            break 'space;
-                        }
-                        iterations += 1;
-                        arena.push(
-                            [xi as u32, rxi as u32, yi as u32, ryi as u32, ki as u32],
-                            [tbx, regx, tby, regy, tbk],
-                        );
+    // each menu holds pairwise-distinct lists, the X/Y/K index sets are
+    // disjoint, and a REGx list never repeats a TBx index (it draws from
+    // the remaining externals). `enumerated_configs_are_distinct` pins it.
+    let tbk = compiled.tbk.len();
+    let mut groups = Vec::new();
+    let mut rows = 0usize;
+    let mut truncated = false;
+    'space: for (x, regx) in compiled.regx.iter().enumerate() {
+        for rx in 0..regx.len() {
+            for (y, regy) in compiled.regy.iter().enumerate() {
+                for ry in 0..regy.len() {
+                    let fit = tbk.min(budget.max_configs.saturating_sub(rows));
+                    let take = rows_before(budget.deadline, rows, fit);
+                    if take > 0 {
+                        groups.push(Group {
+                            menus: [x as u32, rx as u32, y as u32, ry as u32],
+                            tbk: take as u32,
+                        });
+                        rows += take;
+                    }
+                    if take < tbk {
+                        truncated = true;
+                        break 'space;
                     }
                 }
             }
@@ -498,7 +402,8 @@ pub(crate) fn enumerate_interned(
         tables,
         menus,
         compiled,
-        arena,
+        groups,
+        rows,
         truncated,
     }
 }
@@ -543,18 +448,28 @@ pub fn enumerate_configs_bounded(
 ) -> (Vec<KernelConfig>, bool) {
     let norm = tc.normalized();
     let en = enumerate_interned(&norm, sizes, options, budget);
-    let configs = (0..en.arena.len())
-        .map(|i| en.menus.materialize(en.arena.choice(i)))
-        .collect();
+    let configs = en.choices().map(|c| en.menus.materialize(c)).collect();
     (configs, en.truncated)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn eq1() -> Contraction {
         "abcd-aebf-dfce".parse().unwrap()
+    }
+
+    /// `spec`'s enumeration at uniform extent `n` under the default menus.
+    fn configs(spec: &str, n: usize) -> Vec<KernelConfig> {
+        let tc: Contraction = spec.parse().unwrap();
+        enumerate_configs(
+            &tc,
+            &SizeMap::uniform(&tc, n),
+            &EnumerationOptions::default(),
+        )
     }
 
     #[test]
@@ -622,25 +537,19 @@ mod tests {
 
     #[test]
     fn enumeration_is_nonempty_and_consistent() {
-        let tc = eq1();
-        let sizes = SizeMap::uniform(&tc, 24);
-        let configs = enumerate_configs(&tc, &sizes, &EnumerationOptions::default());
+        let configs = configs("abcd-aebf-dfce", 24);
         assert!(!configs.is_empty());
         for cfg in &configs {
-            assert!(cfg.is_consistent_with(&tc), "{cfg}");
+            assert!(cfg.is_consistent_with(&eq1()), "{cfg}");
         }
     }
 
     #[test]
     fn enumerated_configs_are_distinct() {
         // The Cartesian product over the menus never repeats a
-        // configuration (see the comment in `enumerate_interned`); this
-        // pins the argument that the removed per-candidate dedup was dead
-        // code.
+        // configuration (see the comment in `enumerate_interned`).
         for (spec, n) in [("abcd-aebf-dfce", 24), ("ij-ik-kj", 64), ("abc-bda-dc", 16)] {
-            let tc: Contraction = spec.parse().unwrap();
-            let sizes = SizeMap::uniform(&tc, n);
-            let configs = enumerate_configs(&tc, &sizes, &EnumerationOptions::default());
+            let configs = configs(spec, n);
             let distinct: BTreeSet<_> = configs.iter().map(|c| c.canonical_key()).collect();
             assert_eq!(distinct.len(), configs.len(), "{spec} emitted duplicates");
         }
@@ -648,26 +557,20 @@ mod tests {
 
     #[test]
     fn output_fvi_always_first_on_tbx() {
-        let tc = eq1();
-        let sizes = SizeMap::uniform(&tc, 24);
-        for cfg in enumerate_configs(&tc, &sizes, &EnumerationOptions::default()) {
+        for cfg in configs("abcd-aebf-dfce", 24) {
             assert_eq!(cfg.tbx[0].0.as_str(), "a", "{cfg}");
         }
     }
 
     #[test]
     fn enumeration_much_smaller_than_raw_space() {
-        let tc = eq1();
-        let sizes = SizeMap::uniform(&tc, 24);
-        let n = enumerate_configs(&tc, &sizes, &EnumerationOptions::default()).len() as u128;
-        assert!(n * 100 < EnumerationOptions::raw_space_size(&tc));
+        let n = configs("abcd-aebf-dfce", 24).len() as u128;
+        assert!(n * 100 < EnumerationOptions::raw_space_size(&eq1()));
     }
 
     #[test]
     fn matmul_enumeration() {
-        let tc: Contraction = "ij-ik-kj".parse().unwrap();
-        let sizes = SizeMap::uniform(&tc, 1024);
-        let configs = enumerate_configs(&tc, &sizes, &EnumerationOptions::default());
+        let configs = configs("ij-ik-kj", 1024);
         assert!(!configs.is_empty());
         // Only one external per side: REG lists must be empty.
         assert!(configs
@@ -681,18 +584,15 @@ mod tests {
 
     #[test]
     fn small_extents_still_enumerable() {
-        let tc = eq1();
-        let sizes = SizeMap::uniform(&tc, 2); // everything smaller than targets
-        let configs = enumerate_configs(&tc, &sizes, &EnumerationOptions::default());
-        assert!(!configs.is_empty());
+        // Every extent smaller than the targets.
+        assert!(!configs("abcd-aebf-dfce", 2).is_empty());
     }
 
     #[test]
     fn normalization_applies_when_output_fvi_in_b() {
         // Swap A and B textually: output FVI 'a' lives in the second input.
         let tc: Contraction = "abcd-dfce-aebf".parse().unwrap();
-        let sizes = SizeMap::uniform(&tc, 16);
-        let configs = enumerate_configs(&tc, &sizes, &EnumerationOptions::default());
+        let configs = configs("abcd-dfce-aebf", 16);
         // Configs are expressed against the normalized contraction: 'a'
         // (an external of the *second* input here) leads TBx.
         assert!(configs.iter().all(|c| c.tbx[0].0.as_str() == "a"));
@@ -704,9 +604,7 @@ mod tests {
     #[test]
     fn matvec_shape_with_no_b_externals_enumerates() {
         // C[i] = A[i,k] * B[k]: B is purely internal; TBy stays empty.
-        let tc: Contraction = "i-ik-k".parse().unwrap();
-        let sizes = SizeMap::uniform(&tc, 256);
-        let configs = enumerate_configs(&tc, &sizes, &EnumerationOptions::default());
+        let configs = configs("i-ik-k", 256);
         assert!(!configs.is_empty());
         assert!(configs
             .iter()
@@ -752,10 +650,10 @@ mod tests {
         // consulted only when `out.len() % 128 == 0`, so a loop that
         // stopped emitting (then: dedup hits; in principle: any
         // emission-gated path) never re-read the clock. The check is now
-        // keyed on a monotonic per-visit counter, so a deadline expiring
-        // mid-enumeration truncates within one 128-iteration interval —
-        // pin that by expiring the deadline immediately and confirming
-        // iteration 0 already honors it on a large space.
+        // keyed on rows visited (`rows_before`), so a deadline expiring
+        // mid-enumeration truncates within one 128-row interval — pin
+        // that by expiring the deadline immediately and confirming row 0
+        // already honors it on a large space.
         let tc: Contraction = "abcdef-gdab-efgc".parse().unwrap();
         let sizes = SizeMap::uniform(&tc, 16);
         let budget = EnumerationBudget {
@@ -766,48 +664,6 @@ mod tests {
             enumerate_configs_bounded(&tc, &sizes, &EnumerationOptions::default(), &budget);
         assert!(truncated);
         assert!(configs.is_empty());
-    }
-
-    #[test]
-    fn menu_cache_reuse_is_byte_identical() {
-        // Two searches with different raw sizes but equal clamped
-        // signatures share menus; the enumeration must match a cold
-        // thread's byte for byte.
-        let tc = eq1();
-        let options = EnumerationOptions::default();
-        let sizes_a = SizeMap::uniform(&tc, 40);
-        let sizes_b = SizeMap::uniform(&tc, 48);
-        // Warm this thread's cache with the 48 signature, then enumerate
-        // 40 (same clamped signature: both ≥ the max target of 32).
-        let warm_b = enumerate_configs(&tc, &sizes_b, &options);
-        let warm_a = enumerate_configs(&tc, &sizes_a, &options);
-        let (cold_a, cold_b) = std::thread::spawn({
-            let tc = tc.clone();
-            let options = options.clone();
-            move || {
-                (
-                    enumerate_configs(&tc, &SizeMap::uniform(&tc, 40), &options),
-                    enumerate_configs(&tc, &SizeMap::uniform(&tc, 48), &options),
-                )
-            }
-        })
-        .join()
-        .unwrap();
-        assert_eq!(warm_a, cold_a);
-        assert_eq!(warm_b, cold_b);
-    }
-
-    #[test]
-    fn menu_cache_distinguishes_sub_target_extents() {
-        // Extents below the largest menu target are part of the
-        // signature: a 16-extent problem must not reuse 24-extent menus.
-        let tc = eq1();
-        let options = EnumerationOptions::default();
-        let at_24 = enumerate_configs(&tc, &SizeMap::uniform(&tc, 24), &options);
-        let at_16 = enumerate_configs(&tc, &SizeMap::uniform(&tc, 16), &options);
-        assert_ne!(at_24, at_16);
-        let again_24 = enumerate_configs(&tc, &SizeMap::uniform(&tc, 24), &options);
-        assert_eq!(at_24, again_24);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Interned per-search tables and the arena the hot search loops run on.
+//! Interned per-search tables and menus, which the hot search loops run on.
 //!
 //! The public types in [`config`](crate::config), [`constraints`](crate::constraints)
 //! and [`cost`](crate::cost) describe configurations with owned
@@ -11,8 +11,10 @@
 //! * [`CompiledMenus`] — the enumeration's structured menus with ids,
 //!   tile products and an [`Ord`]-rank per list precomputed, so the
 //!   ranking tie-break never materializes a [`KernelConfig`];
-//! * [`ConfigArena`] — every candidate as one flat tile row plus five
-//!   menu indices, in place of five heap-allocated lists of strings.
+//! * [`MenuChoice`] — a candidate as five menu indices. A candidate's
+//!   flat tile row (tile per index id) is written into one scratch
+//!   buffer only when the cost model scores it
+//!   ([`CompiledMenus::fill_group`], [`CompiledMenus::patch_tbk`]).
 //!
 //! The §IV-A rules ([`constraints`](crate::constraints)) and Algorithm 3
 //! ([`cost`](crate::cost)) have one implementation each, over these
@@ -75,7 +77,7 @@ impl SearchTables {
         }
     }
 
-    /// Number of distinct loop indices (the width of one arena tile row).
+    /// Number of distinct loop indices (the width of one tile row).
     pub fn num_indices(&self) -> usize {
         self.names.len()
     }
@@ -101,7 +103,7 @@ impl SearchTables {
 
     /// Interns one owned configuration against `tc` (normalized) under
     /// `sizes`: the tables, the five list-size products, and the tile row
-    /// the search's arena would hold for it (1 where `cfg` leaves an index
+    /// the search would score it by (1 where `cfg` leaves an index
     /// grid-mapped).
     pub(crate) fn intern_config(
         tc: &Contraction,
@@ -231,67 +233,41 @@ impl CompiledMenus {
     pub fn rank_key(&self, choice: MenuChoice) -> [u32; 5] {
         self.entries(choice).map(|e| e.rank)
     }
+
+    /// Writes the tile row of a `(tbx, regx, tby, regy)` choice into `row`
+    /// (one tile per index id): the four entries' tiles, 1 everywhere else
+    /// (internals included, for [`Self::patch_tbk`] to set).
+    pub fn fill_group(&self, group: [u32; 4], row: &mut [usize]) {
+        let [x, rx, y, ry] = group;
+        row.fill(1);
+        for entry in [
+            &self.tbx[x as usize],
+            &self.regx[x as usize][rx as usize],
+            &self.tby[y as usize],
+            &self.regy[y as usize][ry as usize],
+        ] {
+            for &(id, tile) in &entry.pairs {
+                row[id as usize] = tile;
+            }
+        }
+    }
+
+    /// Sets the internal indices (`int_ids`) of `row` to `tbk` entry
+    /// `k`'s tiles, 1 for each internal index the entry does not list.
+    pub fn patch_tbk(&self, k: u32, int_ids: &[u32], row: &mut [usize]) {
+        for &id in int_ids {
+            row[id as usize] = 1;
+        }
+        for &(id, tile) in &self.tbk[k as usize].pairs {
+            row[id as usize] = tile;
+        }
+    }
 }
 
 /// Indices into the five menus (`regx` relative to the chosen `tbx` entry,
 /// `regy` relative to the chosen `tby` entry): a whole candidate in 20
 /// bytes.
 pub type MenuChoice = [u32; 5];
-
-/// All candidates of one enumeration: per config a flat row of per-index
-/// tiles (grid-mapped indices hold 1) plus its [`MenuChoice`].
-#[derive(Debug, Clone)]
-pub struct ConfigArena {
-    num_indices: usize,
-    tiles: Vec<usize>,
-    choices: Vec<MenuChoice>,
-}
-
-impl ConfigArena {
-    /// An empty arena whose tile rows are `num_indices` wide.
-    pub fn new(num_indices: usize) -> Self {
-        Self {
-            num_indices,
-            tiles: Vec::new(),
-            choices: Vec::new(),
-        }
-    }
-
-    /// Number of configurations.
-    pub fn len(&self) -> usize {
-        self.choices.len()
-    }
-
-    /// Whether the arena holds no configurations.
-    pub fn is_empty(&self) -> bool {
-        self.choices.is_empty()
-    }
-
-    /// The tile row of configuration `i`: tile per index id, 1 where the
-    /// configuration leaves the index grid-mapped.
-    #[inline]
-    pub fn tiles(&self, i: usize) -> &[usize] {
-        &self.tiles[i * self.num_indices..(i + 1) * self.num_indices]
-    }
-
-    /// The menu choice of configuration `i`.
-    #[inline]
-    pub fn choice(&self, i: usize) -> MenuChoice {
-        self.choices[i]
-    }
-
-    /// Appends a configuration assembled from five compiled menu entries.
-    pub(crate) fn push(&mut self, choice: MenuChoice, entries: [&CompiledList; 5]) {
-        let base = self.tiles.len();
-        self.tiles.resize(base + self.num_indices, 1);
-        for entry in entries {
-            for &(id, tile) in &entry.pairs {
-                self.tiles[base + id as usize] = tile;
-            }
-        }
-        self.choices.push(choice);
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -329,15 +305,18 @@ mod tests {
     }
 
     #[test]
-    fn arena_rows_match_materialized_tile_of() {
+    fn row_tiles_match_materialized_tile_of() {
         let (norm, _sizes, en) = interned("abcd-aebf-dfce", 24);
-        assert!(!en.arena.is_empty());
-        for i in 0..en.arena.len() {
-            let cfg = en.menus.materialize(en.arena.choice(i));
-            let tiles = en.arena.tiles(i);
+        assert!(en.rows > 0);
+        let mut row = vec![0; en.tables.num_indices()];
+        for choice in en.choices() {
+            let [x, rx, y, ry, k] = choice;
+            en.compiled.fill_group([x, rx, y, ry], &mut row);
+            en.compiled.patch_tbk(k, &en.tables.int_ids, &mut row);
+            let cfg = en.menus.materialize(choice);
             for idx in norm.all_indices() {
                 let id = en.tables.id_of(idx.as_str()).unwrap();
-                assert_eq!(tiles[id as usize], cfg.tile_of(idx), "{cfg} at {idx}");
+                assert_eq!(row[id as usize], cfg.tile_of(idx), "{cfg} at {idx}");
             }
         }
     }
@@ -345,9 +324,9 @@ mod tests {
     #[test]
     fn dims_match_materialized_products() {
         let (_norm, _sizes, en) = interned("abcdef-gdab-efgc", 12);
-        for i in 0..en.arena.len() {
-            let cfg = en.menus.materialize(en.arena.choice(i));
-            let dims = en.compiled.dims(en.arena.choice(i));
+        for choice in en.choices() {
+            let cfg = en.menus.materialize(choice);
+            let dims = en.compiled.dims(choice);
             assert_eq!(dims.tbx, cfg.tbx_size());
             assert_eq!(dims.regx, cfg.regx_size());
             assert_eq!(dims.tby, cfg.tby_size());
@@ -360,14 +339,11 @@ mod tests {
     fn rank_key_orders_exactly_like_kernel_config_ord() {
         for (spec, n) in [("abcd-aebf-dfce", 24), ("ij-ik-kj", 64), ("abc-bda-dc", 16)] {
             let (_norm, _sizes, en) = interned(spec, n);
-            let mut by_key: Vec<usize> = (0..en.arena.len()).collect();
-            by_key.sort_by_key(|&i| en.compiled.rank_key(en.arena.choice(i)));
-            let mut by_config: Vec<usize> = (0..en.arena.len()).collect();
-            by_config.sort_by(|&a, &b| {
-                en.menus
-                    .materialize(en.arena.choice(a))
-                    .cmp(&en.menus.materialize(en.arena.choice(b)))
-            });
+            let choices: Vec<MenuChoice> = en.choices().collect();
+            let mut by_key = choices.clone();
+            by_key.sort_by_key(|&c| en.compiled.rank_key(c));
+            let mut by_config = choices;
+            by_config.sort_by_key(|&a| en.menus.materialize(a));
             assert_eq!(by_key, by_config, "{spec}");
         }
     }

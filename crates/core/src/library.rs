@@ -59,19 +59,10 @@ pub struct KernelVersion {
 /// deserialized `SizeMap` can hold zeros even though `set` rejects them)
 /// must not poison the ordering with `ln(0)` = −∞ or a NaN ratio.
 fn log_distance(tc: &Contraction, x: &SizeMap, y: &SizeMap) -> f64 {
-    let xs: Vec<usize> = tc.all_indices().map(|i| x.extent(i).unwrap_or(1)).collect();
-    let ys: Vec<usize> = tc.all_indices().map(|i| y.extent(i).unwrap_or(1)).collect();
-    log_distance_slices(&xs, &ys)
-}
-
-/// Slice form of [`log_distance`] for callers that already hold positional
-/// extent vectors (the enumeration's warm-start menu cache keys on them);
-/// `x` and `y` must be in the same index order.
-pub(crate) fn log_distance_slices(x: &[usize], y: &[usize]) -> f64 {
-    x.iter()
-        .zip(y)
-        .map(|(&a, &b)| {
-            let d = ((a.max(1) as f64) / (b.max(1) as f64)).ln();
+    tc.all_indices()
+        .map(|i| {
+            let [a, b] = [x, y].map(|s| s.extent(i).unwrap_or(1).max(1) as f64);
+            let d = (a / b).ln();
             d * d
         })
         .sum()

@@ -449,6 +449,22 @@ fn collect_jobs(
     args: &[String],
     spec_label: fn(&str) -> String,
 ) -> Result<Vec<(String, Request)>, CliError> {
+    // `--suite` optionally names the suite; only "tccg" exists. The name
+    // is removed before positional parsing so it isn't taken for a spec.
+    let mut args: Vec<String> = args.to_vec();
+    if let Some(i) = args.iter().position(|a| a == "--suite") {
+        if let Some(value) = args.get(i + 1) {
+            if !value.starts_with('-') && !value.contains('-') && !value.contains('[') {
+                if value != "tccg" {
+                    return Err(CliError::usage(format!(
+                        "unknown suite {value:?} (only tccg)"
+                    )));
+                }
+                args.remove(i + 1);
+            }
+        }
+    }
+    let args = &args[..];
     let explicit_sizes = has_flag(args, "--size") || has_flag(args, "--sizes");
     let mut jobs = Vec::new();
     if has_flag(args, "--suite") {
@@ -741,23 +757,6 @@ fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// and the regret of the model's pick (see `cogent::generator::audit`).
 fn cmd_audit(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let top = positive(args, "--top")?.unwrap_or(8);
-
-    // `--suite` optionally names the suite; only "tccg" exists. The name
-    // is removed before positional parsing so it isn't taken for a spec.
-    let mut args: Vec<String> = args.to_vec();
-    if let Some(i) = args.iter().position(|a| a == "--suite") {
-        if let Some(value) = args.get(i + 1) {
-            if !value.starts_with('-') && !value.contains('-') && !value.contains('[') {
-                if value != "tccg" {
-                    return Err(CliError::usage(format!(
-                        "unknown suite {value:?} (only tccg)"
-                    )));
-                }
-                args.remove(i + 1);
-            }
-        }
-    }
-    let args = &args[..];
 
     let jobs = collect_jobs(args, str::to_string)?;
     if jobs.is_empty() {

@@ -81,6 +81,41 @@ fn unknown_group_exits_2_for_every_suite_command() {
 }
 
 #[test]
+fn batch_and_stats_accept_the_suite_name() {
+    // `--suite tccg` names the one suite, as `audit` has always accepted;
+    // the name must not be parsed as a contraction.
+    let dir = std::env::temp_dir().join(format!("cogent_suite_name_{}", std::process::id()));
+    let dir = dir.to_str().unwrap();
+    for command in [
+        &[
+            "batch", "--suite", "tccg", "--group", "ml", "--size", "8", "-o", dir,
+        ][..],
+        &[
+            "stats",
+            "--suite",
+            "tccg",
+            "--group",
+            "ml",
+            "--size",
+            "8",
+            "--threads",
+            "1",
+        ],
+    ] {
+        let out = cogent(command);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(0), "{command:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+    let out = cogent(&["stats", "--suite", "gett"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8(out.stderr).unwrap(),
+        "cogent: unknown suite \"gett\" (only tccg)\n"
+    );
+}
+
+#[test]
 fn closed_stdout_exits_0_silently() {
     for command in [
         &["suite"][..],
