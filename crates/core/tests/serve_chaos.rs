@@ -459,14 +459,15 @@ fn deadline_exceeded_is_a_typed_504() {
 fn tight_deadline_degrades_to_a_truncated_search_not_an_error() {
     let server = Server::spawn(chaos_config()).expect("spawn");
     let addr = server.addr();
-    // A 1 ms budget is enough to start but not finish the search: the
-    // server answers with a best-effort truncated kernel (200) or, if
-    // the deadline lapses before the worker picks the job up, a 504 —
-    // never a 5xx crash.
+    // A 1 ms budget is enough to start but not finish the search (this
+    // 8-D space holds 192,760 candidates, several milliseconds of search
+    // on a fast core): the server answers with a best-effort truncated
+    // kernel (200) or, if the deadline lapses before the worker picks
+    // the job up, a 504 — never a 5xx crash.
     let (status, body) = post(
         addr,
         "/v1/generate",
-        r#"{"contraction":"abcdef-dega-gfbc","uniform":24,"deadline_ms":1}"#,
+        r#"{"contraction":"abcdefgh-iabcdj-ijefgh","uniform":24,"deadline_ms":1}"#,
     );
     match status {
         200 => assert!(body.contains("\"truncated\":true"), "{body}"),
@@ -478,7 +479,7 @@ fn tight_deadline_degrades_to_a_truncated_search_not_an_error() {
     let (status, body) = post(
         addr,
         "/v1/generate",
-        r#"{"contraction":"abcdef-dega-gfbc","uniform":24}"#,
+        r#"{"contraction":"abcdefgh-iabcdj-ijefgh","uniform":24}"#,
     );
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"cache\":\"miss\""), "{body}");

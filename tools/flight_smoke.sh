@@ -21,7 +21,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# A 1 ms slow threshold makes any real kernel search a "slow" request,
+# A 1 ms slow threshold makes the cold request below (an 8-D space of
+# 192,760 candidates, several milliseconds of search) a "slow" request,
 # so the slow-dump path is exercised deterministically.
 "$BIN" serve --addr 127.0.0.1:0 --workers 2 \
     --slow-threshold-ms 1 \
@@ -53,7 +54,7 @@ http() {
     exec 3>&- 3<&-
 }
 
-BODY='{"contraction":"abcd-aebf-dfce","uniform":16}'
+BODY='{"contraction":"abcdefgh-iabcdj-ijefgh","uniform":24}'
 printf 'POST /v1/generate HTTP/1.1\r\nHost: t\r\nX-Request-Id: smoke-slow-1\r\nContent-Length: %s\r\n\r\n%s' \
     "${#BODY}" "$BODY" | http "$WORK/generate.http"
 grep -q '^HTTP/1.1 200' "$WORK/generate.http"
